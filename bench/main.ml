@@ -68,7 +68,7 @@ let max_n = ref None
 
 let heading title = if not !json_mode then Printf.printf "\n=== %s ===\n%!" title
 
-let jstr_of s = Printf.sprintf "%S" s
+module Json = Hca_util.Json
 
 (* Run-identification echo: every NDJSON row carries the configuration
    fingerprint and the git state it was produced under, so BENCH_*.json
@@ -79,30 +79,20 @@ let stamp_fields =
       ( "config_hash",
         (* [Dspfabric.id], not [name]: the name elides fan-outs and
            port counts, so two different machines could stamp alike. *)
-        jstr_of
+        Json.Str
           (Hca_util.Stamp.hash (Config.default, Dspfabric.id reference)) );
-      ("git", jstr_of (Hca_util.Stamp.git_describe ()));
+      ("git", Json.Str (Hca_util.Stamp.git_describe ()));
     ]
 
-(* One NDJSON record.  Values arrive already JSON-encoded (use the j*
-   helpers); OCaml's %S escaping is JSON-compatible for the plain ASCII
-   names used here. *)
+(* One NDJSON record, flushed as it is produced. *)
 let emit_json ~experiment ~kernel fields =
-  Printf.printf "{\"experiment\":%S,\"kernel\":%S%s}\n%!" experiment kernel
-    (String.concat ""
-       (List.map
-          (fun (k, v) -> Printf.sprintf ",%S:%s" k v)
-          (fields @ Lazy.force stamp_fields)))
+  print_endline (Json.row ~experiment ~kernel (fields @ Lazy.force stamp_fields))
 
-let jint = string_of_int
+let jint i = Json.Num (float_of_int i)
 
-let jopt_int = function Some i -> string_of_int i | None -> "null"
+let jopt_int = Option.fold ~none:Json.Null ~some:jint
 
-let jfloat = Printf.sprintf "%.6f"
-
-let jstr = Printf.sprintf "%S"
-
-let jbool = string_of_bool
+let jfloat = Json.fixed 6
 
 (* Allocation-churn columns, appended to every NDJSON row built from a
    [Report.t]: the flat-layout work is judged on these as much as on the
@@ -175,7 +165,7 @@ let table1 () =
         emit_json ~experiment:"table1" ~kernel:name
           ([
              ("n_instr", jint r.Report.n_instr);
-             ("legal", jbool r.Report.legal);
+             ("legal", Json.Bool r.Report.legal);
              ("final_mii", jopt_int r.Report.final_mii);
              ("portfolio_mii", jopt_int best.Report.final_mii);
              ("unified_mii", jint optimum);
@@ -569,14 +559,14 @@ let optgap () =
           ([
              ("n_instr", jint n);
              ("hca_final_mii", jopt_int hca.Report.final_mii);
-             ("hca_legal", jbool hca.Report.legal);
+             ("hca_legal", Json.Bool hca.Report.legal);
              ("hca_cache_hits", jint hca.Report.cache_hits);
-             ("status", jstr (Hca_exact.Oracle.status_to_string oracle.Hca_exact.Oracle.status));
+             ("status", Json.Str (Hca_exact.Oracle.status_to_string oracle.Hca_exact.Oracle.status));
              ("final_mii", jopt_int oracle.Hca_exact.Oracle.final_mii);
              ("lower_bound", jint oracle.Hca_exact.Oracle.lower_bound);
              ("copies", jint oracle.Hca_exact.Oracle.copies);
              ( "gap",
-               match gap with Some g -> jfloat g | None -> "null" );
+               Option.fold ~none:Json.Null ~some:jfloat gap );
              ("sat_conflicts", jint oracle.Hca_exact.Oracle.explored);
              ("sat_propagations", jint oracle.Hca_exact.Oracle.propagations);
              ("sat_learnt", jint oracle.Hca_exact.Oracle.learnt_total);
@@ -972,7 +962,7 @@ let extended () =
           ([
              ("n_instr", jint r.Report.n_instr);
              ("ini_mii", jint r.Report.ini_mii);
-             ("legal", jbool r.Report.legal);
+             ("legal", Json.Bool r.Report.legal);
              ("final_mii", jopt_int r.Report.final_mii);
              ("copies", jint r.Report.copies);
              ("runtime_s", jfloat r.Report.runtime_s);

@@ -45,95 +45,43 @@
    warning: it was produced from an uncommitted tree, so it cannot be
    correlated with any commit (the PR-7 baseline had exactly this flaw).
 
-   Exit status: 0 clean, 1 on any quality regression or busted runtime
-   budget, 2 on usage or parse errors.
+   Every non-blank line of both files must be one JSON object (read
+   with [Hca_util.Json], the repo's one codec) carrying string
+   "experiment" and "kernel" fields; quality fields are compared as
+   JSON values, so [3] and [3.0] agree.  A line that is not JSON, or a
+   row without its keys, is a parse error naming the file and line —
+   every CI step that gates an NDJSON artifact thereby also validates
+   it.
 
-   The parser below handles exactly the flat one-line objects
-   [emit_json] produces (string keys, unnested scalar values) — not
-   general JSON.  Keeping it hand-rolled avoids a JSON dependency in
-   the repo's install footprint. *)
+   Exit status: 0 clean, 1 on any quality regression or busted runtime
+   budget, 2 on usage or parse errors. *)
+
+module Json = Hca_util.Json
 
 let quality_fields = [ "final_mii"; "legal"; "copies"; "wires" ]
 
 let skipped_experiments = [ "optgap" ]
 
-let contains_substring hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= hn && (String.sub hay i nn = needle || go (i + 1)) in
-  go 0
+let str_field name row = Option.bind (Json.member name row) Json.str
 
-(* "key":value scanner over one emit_json line.  Values are scalars
-   (number / bool / null) or %S-escaped strings; a string value is
-   returned with its quotes so comparisons stay exact. *)
-let fields_of_line line =
-  let n = String.length line in
-  let fields = ref [] in
-  let i = ref 0 in
-  let fail msg = failwith (Printf.sprintf "%s in %s" msg line) in
-  let scan_string () =
-    (* [!i] is at the opening quote; returns the contents, leaves [!i]
-       past the closing quote. *)
-    let b = Buffer.create 16 in
-    incr i;
-    let rec go () =
-      if !i >= n then fail "unterminated string"
-      else
-        match line.[!i] with
-        | '"' -> incr i
-        | '\\' when !i + 1 < n ->
-            Buffer.add_char b line.[!i];
-            Buffer.add_char b line.[!i + 1];
-            i := !i + 2;
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            incr i;
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  while !i < n do
-    match line.[!i] with
-    | '"' ->
-        let key = scan_string () in
-        if !i >= n || line.[!i] <> ':' then fail "expected ':' after key";
-        incr i;
-        let value =
-          if !i < n && line.[!i] = '"' then "\"" ^ scan_string () ^ "\""
-          else begin
-            let start = !i in
-            while
-              !i < n && (match line.[!i] with ',' | '}' -> false | _ -> true)
-            do
-              incr i
-            done;
-            String.sub line start (!i - start)
-          end
-        in
-        fields := (key, value) :: !fields
-    | _ -> incr i
-  done;
-  List.rev !fields
+let int_field name row = Option.bind (Json.member name row) Json.int
+
+let runtime row = Option.bind (Json.member "runtime_s" row) Json.num
 
 let load path =
-  let ic = open_in path in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = String.trim (input_line ic) in
-       if line <> "" then begin
-         let fields = fields_of_line line in
-         match
-           (List.assoc_opt "experiment" fields, List.assoc_opt "kernel" fields)
-         with
-         | Some e, Some k -> rows := ((e, k), fields) :: !rows
-         | _ -> failwith ("row without experiment/kernel: " ^ line)
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
+  let bad lineno msg = failwith (Printf.sprintf "%s:%d: %s" path lineno msg) in
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.filter_map (fun (lineno, line) ->
+         if line = "" then None
+         else
+           match Json.parse line with
+           | Error e -> bad lineno ("not a JSON row: " ^ e)
+           | Ok row -> (
+               match (str_field "experiment" row, str_field "kernel" row) with
+               | Some e, Some k -> Some ((e, k), row)
+               | _ -> bad lineno "row without string experiment/kernel"))
 
 let usage () =
   prerr_endline
@@ -235,9 +183,9 @@ let () =
              generated from an uncommitted tree and matches no commit. *)
           let dirty_rows =
             List.filter
-              (fun (_, fields) ->
-                match List.assoc_opt "git" fields with
-                | Some v -> contains_substring v "-dirty"
+              (fun (_, row) ->
+                match str_field "git" row with
+                | Some v -> String.ends_with ~suffix:"-dirty" v
                 | None -> false)
               baseline
           in
@@ -249,37 +197,25 @@ let () =
               (List.length dirty_rows);
           let base_optimal = ref 0 and cur_optimal = ref 0 in
           List.iter
-            (fun ((exp, kernel), cur_fields) ->
-              let exp_name =
-                (* experiment/kernel values carry their quotes *)
-                if String.length exp >= 2 then
-                  String.sub exp 1 (String.length exp - 2)
-                else exp
-              in
+            (fun ((exp, kernel), cur) ->
               match List.assoc_opt (exp, kernel) baseline with
               | _
-                when List.mem exp_name skipped_experiments
-                     && not (!gate_optgap && exp_name = "optgap") ->
+                when List.mem exp skipped_experiments
+                     && not (!gate_optgap && exp = "optgap") ->
                   ()
               | None ->
                   Printf.printf "  new row %s/%s (not in baseline, ok)\n" exp
                     kernel
-              | Some base_fields when exp_name = "optgap" ->
+              | Some base when exp = "optgap" ->
                   (* Budget-robust oracle checks: certificates from two
                      runs of a sound solver can never contradict, no
                      matter how their budgets differed. *)
                   incr compared;
-                  let int_field fields name =
-                    Option.bind (List.assoc_opt name fields) int_of_string_opt
-                  in
-                  let status fields = List.assoc_opt "status" fields in
-                  if status base_fields = Some "\"optimal\"" then
-                    incr base_optimal;
-                  if status cur_fields = Some "\"optimal\"" then
-                    incr cur_optimal;
+                  let status = str_field "status" in
+                  if status base = Some "optimal" then incr base_optimal;
+                  if status cur = Some "optimal" then incr cur_optimal;
                   (match
-                     ( int_field cur_fields "lower_bound",
-                       int_field base_fields "final_mii" )
+                     (int_field "lower_bound" cur, int_field "final_mii" base)
                    with
                   | Some lc, Some fb when lc > fb ->
                       incr regressions;
@@ -289,8 +225,7 @@ let () =
                         exp kernel lc fb
                   | _ -> ());
                   (match
-                     ( int_field base_fields "lower_bound",
-                       int_field cur_fields "final_mii" )
+                     (int_field "lower_bound" base, int_field "final_mii" cur)
                    with
                   | Some lb, Some fc when fc < lb ->
                       incr regressions;
@@ -300,31 +235,28 @@ let () =
                         exp kernel fc lb
                   | _ -> ());
                   (match
-                     ( status base_fields,
-                       status cur_fields,
-                       int_field base_fields "final_mii",
-                       int_field cur_fields "final_mii" )
+                     ( status base,
+                       status cur,
+                       int_field "final_mii" base,
+                       int_field "final_mii" cur )
                    with
-                  | Some "\"optimal\"", Some "\"optimal\"", Some a, Some b
+                  | Some "optimal", Some "optimal", Some a, Some b
                     when a <> b ->
                       incr regressions;
                       Printf.printf
                         "REGRESSION %s/%s: proven optimum moved from %d to %d\n"
                         exp kernel a b
                   | _ -> ())
-              | Some base_fields ->
+              | Some base ->
                   incr compared;
                   List.iter
                     (fun f ->
-                      match
-                        ( List.assoc_opt f base_fields,
-                          List.assoc_opt f cur_fields )
-                      with
+                      match (Json.member f base, Json.member f cur) with
                       | Some b, Some c when b <> c ->
                           incr regressions;
                           Printf.printf
                             "REGRESSION %s/%s: %s was %s, now %s\n" exp kernel
-                            f b c
+                            f (Json.to_string b) (Json.to_string c)
                       | Some _, None ->
                           incr regressions;
                           Printf.printf "REGRESSION %s/%s: %s disappeared\n"
@@ -346,23 +278,17 @@ let () =
                 Printf.printf "  baseline row %s/%s missing from current run\n"
                   exp kernel)
             baseline;
-          (* Row keys carry their JSON quotes; budget specs do not. *)
           List.iter
             (fun ((exp, kernel), budget_s) ->
-              let key = (Printf.sprintf "%S" exp, Printf.sprintf "%S" kernel) in
-              match List.assoc_opt key current with
+              match List.assoc_opt (exp, kernel) current with
               | None ->
                   incr regressions;
                   Printf.printf
                     "REGRESSION %s/%s: runtime budget %.3fs set but row \
                      missing from current run\n"
                     exp kernel budget_s
-              | Some fields -> (
-                  match
-                    Option.bind
-                      (List.assoc_opt "runtime_s" fields)
-                      float_of_string_opt
-                  with
+              | Some row -> (
+                  match runtime row with
                   | None ->
                       incr regressions;
                       Printf.printf
@@ -384,9 +310,8 @@ let () =
              would notice. *)
           List.iter
             (fun (exp, want) ->
-              let key = Printf.sprintf "%S" exp in
               let got =
-                List.length (List.filter (fun ((e, _), _) -> e = key) current)
+                List.length (List.filter (fun ((e, _), _) -> e = exp) current)
               in
               if got <> want then begin
                 incr regressions;
@@ -404,12 +329,8 @@ let () =
              comparison cancels the machine out. *)
           List.iter
             (fun ((exp, kernel), factor) ->
-              let key = (Printf.sprintf "%S" exp, Printf.sprintf "%S" kernel) in
               let runtime rows =
-                Option.bind (List.assoc_opt key rows) (fun fields ->
-                    Option.bind
-                      (List.assoc_opt "runtime_s" fields)
-                      float_of_string_opt)
+                Option.bind (List.assoc_opt (exp, kernel) rows) runtime
               in
               match (runtime baseline, runtime current) with
               | None, _ | _, None ->

@@ -164,51 +164,48 @@ let run ?(config = Config.default) ?(jobs = 1) ~kernels points =
    figures that are pure functions of the sweep spec — no wall clock,
    no allocation meters — so the bytes are identical at any [jobs]. *)
 let to_ndjson r =
+  let module Json = Hca_util.Json in
   let buf = Buffer.create 4096 in
   let row ~experiment ~kernel fields =
-    Buffer.add_string buf
-      (Printf.sprintf "{\"experiment\":%S,\"kernel\":%S%s}\n" experiment kernel
-         (String.concat ""
-            (List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k v) fields)))
+    Buffer.add_string buf (Json.row ~experiment ~kernel fields);
+    Buffer.add_char buf '\n'
   in
-  let jint = string_of_int in
-  let jopt = function None -> "null" | Some v -> string_of_int v in
-  let jbool b = if b then "true" else "false" in
-  let jstr s = Printf.sprintf "%S" s in
+  let jint i = Json.Num (float_of_int i) in
+  let jopt = Option.fold ~none:Json.Null ~some:jint in
   List.iter
     (fun e ->
       let r = e.report in
       row ~experiment:"dse"
         ~kernel:(e.point ^ "/" ^ e.kernel)
         ([
-           ("machine", jstr r.Report.machine);
+           ("machine", Json.Str r.Report.machine);
            ("n_instr", jint r.Report.n_instr);
            ("mii_rec", jint r.Report.mii_rec);
            ("mii_res", jint r.Report.mii_res);
-           ("legal", jbool r.Report.legal);
+           ("legal", Json.Bool r.Report.legal);
            ("final_mii", jopt r.Report.final_mii);
            ("ii_used", jint r.Report.ii_used);
            ("copies", jint r.Report.copies);
            ("wires", jint r.Report.max_wire_load);
            ("forwards", jint r.Report.forwards);
            ("explored", jint r.Report.explored_states);
-           ("invariant", jstr (Report.invariant_string r));
+           ("invariant", Json.Str (Report.invariant_string r));
          ]
         @
         match r.Report.error with
         | None -> []
-        | Some e -> [ ("error", jstr e) ]))
+        | Some e -> [ ("error", Json.Str e) ]))
     r.evals;
   List.iter
     (fun s ->
       row ~experiment:"dse_points" ~kernel:s.point
         [
-          ("machine", jstr s.machine);
+          ("machine", Json.Str s.machine);
           ("cns", jint s.cns);
           ("machine_wires", jint s.machine_wires);
           ("score", jopt s.score);
           ("legal_kernels", jint s.legal_kernels);
-          ("pareto", jbool s.pareto);
+          ("pareto", Json.Bool s.pareto);
         ])
     r.summaries;
   Buffer.contents buf

@@ -1,3 +1,5 @@
+module Json = Hca_util.Json
+
 type event = {
   kind : [ `Begin | `End | `Instant | `Count | `Sample ];
   name : string;
@@ -7,23 +9,6 @@ type event = {
 }
 
 let dummy = { kind = `Instant; name = ""; ts = 0.; value = 0.; args = [] }
-
-(* %S is not JSON-safe for control characters (OCaml escapes them in
-   decimal), so escape by hand; names and args here are plain ASCII. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 (* One sink per domain, single writer (the owning domain), created on
    first use and registered once.  Three destinations share it: the
@@ -287,11 +272,11 @@ module Log = struct
      [log] re-checks under the lock. *)
   let active l = !sink <> None && rank l >= rank !threshold
 
-  let field_json = function
-    | S s -> "\"" ^ json_escape s ^ "\""
-    | I i -> string_of_int i
-    | F f -> Printf.sprintf "%g" f
-    | B b -> string_of_bool b
+  let add_field b = function
+    | S s -> Json.add_str b s
+    | I i -> Buffer.add_string b (string_of_int i)
+    | F f -> Json.add_num b f
+    | B v -> Buffer.add_string b (string_of_bool v)
 
   let log level ?req event fields =
     Mutex.lock mu;
@@ -302,14 +287,19 @@ module Log = struct
         let ts = if now > !last_ts then now else !last_ts in
         last_ts := ts;
         let b = Buffer.create 160 in
-        Printf.bprintf b "{\"ts\":%.6f,\"level\":\"%s\",\"event\":\"%s\"" ts
-          (level_name level) (json_escape event);
+        Buffer.add_string b "{\"ts\":";
+        Json.add_num b ts;
+        Printf.bprintf b ",\"level\":\"%s\",\"event\":" (level_name level);
+        Json.add_str b event;
         (match req with
         | Some r -> Printf.bprintf b ",\"req\":%d" r
         | None -> ());
         List.iter
           (fun (k, v) ->
-            Printf.bprintf b ",\"%s\":%s" (json_escape k) (field_json v))
+            Buffer.add_char b ',';
+            Json.add_str b k;
+            Buffer.add_char b ':';
+            add_field b v)
           fields;
         Buffer.add_string b "}\n";
         output_string oc (Buffer.contents b);
@@ -540,41 +530,30 @@ module Registry = struct
       s.hists;
     Buffer.contents b
 
-  let to_json_string () =
+  let to_json () =
     let s = snapshot () in
-    let b = Buffer.create 2048 in
-    let fields out xs =
-      Buffer.add_char b '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Printf.bprintf b "\"%s\":" (json_escape k);
-          out v)
-        xs;
-      Buffer.add_char b '}'
+    let int i = Json.Num (float_of_int i) in
+    let hist hv =
+      let acc = ref 0 in
+      Json.Obj
+        [
+          ("count", int hv.count);
+          ("sum", Json.Num hv.sum);
+          ( "buckets",
+            Json.Arr
+              (List.mapi
+                 (fun i le ->
+                   acc := !acc + hv.buckets.(i);
+                   Json.Arr [ Json.Num le; int !acc ])
+                 (Array.to_list hv.le)) );
+        ]
     in
-    Buffer.add_string b "{\"counters\":";
-    fields (fun v -> Buffer.add_string b (string_of_int v)) s.counters;
-    Buffer.add_string b ",\"gauges\":";
-    fields (fun v -> Buffer.add_string b (num v)) s.gauges;
-    Buffer.add_string b ",\"histograms\":";
-    fields
-      (fun hv ->
-        Printf.bprintf b "{\"count\":%d,\"sum\":%s,\"buckets\":[" hv.count
-          (num hv.sum);
-        let acc = ref 0 in
-        Array.iteri
-          (fun i c ->
-            if i < Array.length hv.le then begin
-              acc := !acc + c;
-              if i > 0 then Buffer.add_char b ',';
-              Printf.bprintf b "[%s,%d]" (num hv.le.(i)) !acc
-            end)
-          hv.buckets;
-        Buffer.add_string b "]}")
-      s.hists;
-    Buffer.add_char b '}';
-    Buffer.contents b
+    Json.Obj
+      [
+        ("counters", Json.Obj (List.map (fun (k, v) -> (k, int v)) s.counters));
+        ("gauges", Json.Obj (List.map (fun (k, v) -> (k, Json.Num v)) s.gauges));
+        ("histograms", Json.Obj (List.map (fun (k, hv) -> (k, hist hv)) s.hists));
+      ]
 end
 
 (* ------------------------------------------------------------------ *)
@@ -770,27 +749,59 @@ module Summary = struct
 end
 
 module Trace = struct
-  let escape = json_escape
-
-  let args_json args =
-    "{"
-    ^ String.concat ","
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v)) args)
-    ^ "}"
+  (* Streamed straight into one buffer with no per-event [Json.t]:
+     traces of a long session reach hundreds of MB. *)
+  let add_args b args =
+    Buffer.add_char b '{';
+    List.iteri
+      (fun i (k, v) ->
+        if i > 0 then Buffer.add_char b ',';
+        Json.add_str b k;
+        Buffer.add_char b ':';
+        Json.add_str b v)
+      args;
+    Buffer.add_char b '}'
 
   let chrome_of_streams ?(meta = []) ~epoch streams =
     let b = Buffer.create 65536 in
-    let us ts = Printf.sprintf "%.3f" (1e6 *. (ts -. epoch)) in
     Buffer.add_string b "{\"traceEvents\":[";
     let first = ref true in
     let sep () = if !first then first := false else Buffer.add_char b ',' in
+    (* Opens one event up to its timestamp: microseconds since [epoch],
+       kept to the nanosecond. *)
+    let event ?name fields dom ts =
+      sep ();
+      Buffer.add_char b '{';
+      Option.iter
+        (fun n ->
+          Buffer.add_string b "\"name\":";
+          Json.add_str b n;
+          Buffer.add_char b ',')
+        name;
+      Printf.bprintf b "%s,\"pid\":1,\"tid\":%d,\"ts\":" fields dom;
+      Json.add_num b (Float.round (1e9 *. (ts -. epoch)) /. 1e3)
+    in
+    let args = function
+      | [] -> Buffer.add_char b '}'
+      | a ->
+          Buffer.add_string b ",\"args\":";
+          add_args b a;
+          Buffer.add_char b '}'
+    in
+    let counter dom e v =
+      event ~name:e.name {|"ph":"C"|} dom e.ts;
+      Buffer.add_string b ",\"args\":{";
+      Json.add_str b e.name;
+      Buffer.add_char b ':';
+      Json.add_num b v;
+      Buffer.add_string b "}}"
+    in
     List.iter
       (fun (dom, evs) ->
         sep ();
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-             dom dom);
+        Printf.bprintf b
+          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
+          dom dom;
         (* Cumulative counter series per (domain, name) so Perfetto can
            chart rising totals; histogram samples stay raw gauges. *)
         let totals : (string, float) Hashtbl.t = Hashtbl.create 8 in
@@ -798,54 +809,27 @@ module Trace = struct
           (fun e ->
             match e.kind with
             | `Begin ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"cat\":\"hca\",\"ph\":\"B\",\"pid\":1,\"tid\":%d,\"ts\":%s%s}"
-                     (escape e.name) dom (us e.ts)
-                     (if e.args = [] then ""
-                      else ",\"args\":" ^ args_json e.args))
+                event ~name:e.name {|"cat":"hca","ph":"B"|} dom e.ts;
+                args e.args
             | `End ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"ph\":\"E\",\"pid\":1,\"tid\":%d,\"ts\":%s}" dom
-                     (us e.ts))
+                event {|"ph":"E"|} dom e.ts;
+                Buffer.add_char b '}'
             | `Instant ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"cat\":\"hca\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":%d,\"ts\":%s%s}"
-                     (escape e.name) dom (us e.ts)
-                     (if e.args = [] then ""
-                      else ",\"args\":" ^ args_json e.args))
+                event ~name:e.name {|"cat":"hca","ph":"i","s":"t"|} dom e.ts;
+                args e.args
             | `Count ->
                 let t =
                   e.value
                   +. Option.value ~default:0. (Hashtbl.find_opt totals e.name)
                 in
                 Hashtbl.replace totals e.name t;
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":{\"%s\":%g}}"
-                     (escape e.name) dom (us e.ts) (escape e.name) t)
-            | `Sample ->
-                sep ();
-                Buffer.add_string b
-                  (Printf.sprintf
-                     "{\"name\":\"%s\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%s,\"args\":{\"%s\":%g}}"
-                     (escape e.name) dom (us e.ts) (escape e.name) e.value))
+                counter dom e t
+            | `Sample -> counter dom e e.value)
           evs)
       streams;
-    Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":{";
-    Buffer.add_string b
-      (String.concat ","
-         (List.map
-            (fun (k, v) ->
-              Printf.sprintf "\"%s\":\"%s\"" (escape k) (escape v))
-            (("tool", "hca") :: meta)));
-    Buffer.add_string b "}}";
+    Buffer.add_string b "],\"displayTimeUnit\":\"ms\",\"otherData\":";
+    add_args b (("tool", "hca") :: meta);
+    Buffer.add_char b '}';
     Buffer.contents b
 
   let to_chrome_json ?meta () =

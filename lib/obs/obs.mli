@@ -180,10 +180,11 @@ module Registry : sig
       cumulative [_bucket{le="..."}] plus [_sum]/[_count] series per
       histogram. *)
 
-  val to_json_string : unit -> string
+  val to_json : unit -> Hca_util.Json.t
   (** The same snapshot as one JSON object:
       [{"counters":{..},"gauges":{..},"histograms":{name:
-      {"count":n,"sum":s,"buckets":[[le,cumulative],..]}}}]. *)
+      {"count":n,"sum":s,"buckets":[[le,cumulative],..]}}}], every
+      number exact (unlike the Prometheus text, which prints [%g]). *)
 
   val clear : unit -> unit
   (** Drop every metric (tests only). *)

@@ -1,4 +1,4 @@
-type json =
+type json = Hca_util.Json.t =
   | Null
   | Bool of bool
   | Num of float
@@ -6,160 +6,7 @@ type json =
   | Arr of json list
   | Obj of (string * json) list
 
-exception Bad of string * int
-
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail ("expected " ^ word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string"
-      else
-        match s.[!pos] with
-        | '"' -> advance ()
-        | '\\' ->
-            advance ();
-            (if !pos >= n then fail "truncated escape"
-             else
-               match s.[!pos] with
-               | '"' -> Buffer.add_char b '"'; advance ()
-               | '\\' -> Buffer.add_char b '\\'; advance ()
-               | '/' -> Buffer.add_char b '/'; advance ()
-               | 'b' -> Buffer.add_char b '\b'; advance ()
-               | 'f' -> Buffer.add_char b '\012'; advance ()
-               | 'n' -> Buffer.add_char b '\n'; advance ()
-               | 'r' -> Buffer.add_char b '\r'; advance ()
-               | 't' -> Buffer.add_char b '\t'; advance ()
-               | 'u' ->
-                   if !pos + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub s (!pos + 1) 4 in
-                   (match int_of_string_opt ("0x" ^ hex) with
-                   | None -> fail "bad \\u escape"
-                   | Some code ->
-                       (* Keep it simple: store the code point raw when
-                          ASCII, else a replacement marker — validation
-                          only needs structural fidelity. *)
-                       if code < 0x80 then Buffer.add_char b (Char.chr code)
-                       else Buffer.add_char b '?');
-                   pos := !pos + 5
-               | c -> fail (Printf.sprintf "bad escape \\%C" c));
-            go ()
-        | c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> Str (parse_string ())
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let key = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-  in
-  match
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-  with
-  | v -> Ok v
-  | exception Bad (msg, at) ->
-      Error (Printf.sprintf "%s at offset %d" msg at)
+let parse = Hca_util.Json.parse
 
 type stats = {
   events : int;
@@ -167,125 +14,72 @@ type stats = {
   span_names : (string * int) list;
 }
 
+exception Invalid of string
+
 let validate s =
+  let module J = Hca_util.Json in
+  let bad fmt = Printf.ksprintf (fun m -> raise (Invalid m)) fmt in
+  let count tbl k =
+    Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+  in
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
   match parse s with
   | Error e -> Error ("not valid JSON: " ^ e)
-  | Ok (Obj fields) -> (
-      match List.assoc_opt "traceEvents" fields with
+  | Ok (Obj _ as top) -> (
+      match J.member "traceEvents" top with
       | Some (Arr evs) -> (
           (* Per-tid begin stacks; every E must close the innermost B of
              its track, and every track must end with an empty stack. *)
-          let stacks : (int, string list ref) Hashtbl.t = Hashtbl.create 8 in
-          let spans : (int, int) Hashtbl.t = Hashtbl.create 8 in
-          let names : (string, int) Hashtbl.t = Hashtbl.create 8 in
-          let stack_of tid =
-            match Hashtbl.find_opt stacks tid with
-            | Some st -> st
-            | None ->
-                let st = ref [] in
-                Hashtbl.add stacks tid st;
-                st
-          in
-          let err = ref None in
+          let stacks : (int, string list) Hashtbl.t = Hashtbl.create 8 in
+          let spans = Hashtbl.create 8 and names = Hashtbl.create 8 in
           let check i ev =
-            if !err = None then
-              match ev with
-              | Obj f -> (
-                  let str k =
-                    match List.assoc_opt k f with
-                    | Some (Str s) -> Some s
-                    | _ -> None
-                  in
-                  let num k =
-                    match List.assoc_opt k f with
-                    | Some (Num x) -> Some x
-                    | _ -> None
-                  in
-                  match str "ph" with
-                  | None -> err := Some (Printf.sprintf "event %d: no \"ph\"" i)
-                  | Some ph -> (
-                      let tid =
-                        match num "tid" with
-                        | Some t -> int_of_float t
-                        | None -> -1
-                      in
-                      match ph with
-                      | "B" -> (
-                          match (str "name", num "ts", tid) with
-                          | None, _, _ ->
-                              err :=
-                                Some (Printf.sprintf "event %d: B without name" i)
-                          | _, None, _ ->
-                              err :=
-                                Some (Printf.sprintf "event %d: B without ts" i)
-                          | Some name, Some _, tid ->
-                              let st = stack_of tid in
-                              st := name :: !st)
-                      | "E" -> (
-                          if num "ts" = None then
-                            err :=
-                              Some (Printf.sprintf "event %d: E without ts" i)
-                          else
-                            let st = stack_of tid in
-                            match !st with
-                            | [] ->
-                                err :=
-                                  Some
-                                    (Printf.sprintf
-                                       "event %d: E with no open span on tid %d"
-                                       i tid)
-                            | name :: rest ->
-                                st := rest;
-                                Hashtbl.replace spans tid
-                                  (1
-                                  + Option.value ~default:0
-                                      (Hashtbl.find_opt spans tid));
-                                Hashtbl.replace names name
-                                  (1
-                                  + Option.value ~default:0
-                                      (Hashtbl.find_opt names name)))
-                      | "i" | "I" | "C" | "M" -> ()
-                      | other ->
-                          err :=
-                            Some
-                              (Printf.sprintf "event %d: unknown phase %S" i
-                                 other)))
-              | _ -> err := Some (Printf.sprintf "event %d: not an object" i)
+            (match ev with Obj _ -> () | _ -> bad "event %d: not an object" i);
+            let field k f = Option.bind (J.member k ev) f in
+            let tid =
+              Option.fold ~none:(-1) ~some:int_of_float (field "tid" J.num)
+            in
+            let stack = Option.value ~default:[] (Hashtbl.find_opt stacks tid) in
+            let has_ts = field "ts" J.num <> None in
+            match field "ph" J.str with
+            | None -> bad "event %d: no \"ph\"" i
+            | Some "B" -> (
+                match field "name" J.str with
+                | None -> bad "event %d: B without name" i
+                | Some _ when not has_ts -> bad "event %d: B without ts" i
+                | Some name -> Hashtbl.replace stacks tid (name :: stack))
+            | Some "E" -> (
+                if not has_ts then bad "event %d: E without ts" i;
+                match stack with
+                | [] -> bad "event %d: E with no open span on tid %d" i tid
+                | name :: rest ->
+                    Hashtbl.replace stacks tid rest;
+                    count spans tid;
+                    count names name)
+            | Some ("i" | "I" | "C" | "M") -> ()
+            | Some other -> bad "event %d: unknown phase %S" i other
           in
-          List.iteri check evs;
-          (match !err with
-          | None ->
-              Hashtbl.iter
-                (fun tid st ->
-                  if !st <> [] && !err = None then
-                    err :=
-                      Some
-                        (Printf.sprintf "tid %d: %d span(s) never closed" tid
-                           (List.length !st)))
-                stacks
-          | Some _ -> ());
-          match !err with
-          | Some e -> Error e
-          | None ->
+          match
+            List.iteri check evs;
+            Hashtbl.iter
+              (fun tid st ->
+                if st <> [] then
+                  bad "tid %d: %d span(s) never closed" tid (List.length st))
+              stacks
+          with
+          | () ->
               Ok
                 {
                   events = List.length evs;
-                  tracks =
-                    List.sort compare
-                      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) spans []);
-                  span_names =
-                    List.sort compare
-                      (Hashtbl.fold (fun k v acc -> (k, v) :: acc) names []);
-                })
+                  tracks = sorted spans;
+                  span_names = sorted names;
+                }
+          | exception Invalid e -> Error e)
       | _ -> Error "no \"traceEvents\" array")
   | Ok _ -> Error "top level is not an object"
 
 let validate_file path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | s -> validate s
   | exception Sys_error e -> Error e

@@ -1,19 +1,19 @@
 (** Validation of the Chrome trace-event JSON {!Obs.Trace} emits, used
-    by the [hca tracecheck] CLI and the test suite.  The parser is a
-    small self-contained JSON reader (no external dependency), general
-    enough for any trace-event file, not just our own output. *)
+    by the [hca tracecheck] CLI and the test suite.  Parsing is
+    {!Hca_util.Json}'s; this module only checks the trace-event
+    structure, for any trace-event file, not just our own output. *)
 
-type json =
+type json = Hca_util.Json.t =
   | Null
   | Bool of bool
   | Num of float
   | Str of string
   | Arr of json list
   | Obj of (string * json) list
+(** Re-export of the codec's value type. *)
 
 val parse : string -> (json, string) result
-(** Full JSON parser (objects, arrays, strings with escapes, numbers,
-    booleans, null).  Errors carry a character offset. *)
+(** {!Hca_util.Json.parse}. *)
 
 type stats = {
   events : int;  (** total entries in ["traceEvents"] *)

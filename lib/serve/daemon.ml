@@ -7,6 +7,7 @@ module Ddg_io = Hca_ddg.Ddg_io
 module Obs = Hca_obs.Obs
 module Log = Hca_obs.Obs.Log
 module Registry = Hca_obs.Obs.Registry
+module Json = Hca_util.Json
 
 type telemetry = {
   trace_dir : string;
@@ -87,7 +88,7 @@ let on_job_event t ev =
         [ ("kernel", Log.S label); ("latency_ms", Log.F (latency_s *. 1000.)) ]
   | Jobq.Done { id; label; outcome; latency_s; run_s } ->
       let olabel = outcome_label outcome in
-      Registry.inc (Printf.sprintf "hca_jobs_done_total{outcome=%S}" olabel);
+      Registry.inc (Printf.sprintf "hca_jobs_done_total{outcome=\"%s\"}" olabel);
       Registry.observe "hca_request_latency_ms" (latency_s *. 1000.);
       Registry.observe "hca_request_run_ms" (run_s *. 1000.);
       (match outcome with
@@ -403,11 +404,8 @@ let metrics_line fmt =
           ("format", Json.Str "prometheus");
           ("prometheus", Json.Str (Registry.to_prometheus ()));
         ]
-  | Protocol.Json_metrics -> (
-      match Json.parse (Registry.to_json_string ()) with
-      | Ok j -> Protocol.ok_response [ ("metrics", j) ]
-      | Error e ->
-          Protocol.error_response ("metrics serialisation: " ^ e))
+  | Protocol.Json_metrics ->
+      Protocol.ok_response [ ("metrics", Registry.to_json ()) ]
 
 (* ------------------------------------------------------------------ *)
 (* The handler                                                         *)
@@ -469,7 +467,7 @@ let handle_line t line =
       Registry.inc "hca_protocol_errors_total";
       Line (Protocol.error_response e)
   | Ok req -> (
-      Registry.inc (Printf.sprintf "hca_requests_total{verb=%S}" (verb_name req));
+      Registry.inc (Printf.sprintf "hca_requests_total{verb=\"%s\"}" (verb_name req));
       match req with
       | Protocol.Submit s -> handle_submit t s
       | Protocol.Status id -> (

@@ -1,5 +1,6 @@
 module Report = Hca_core.Report
 module Registry = Hca_obs.Obs.Registry
+module Json = Hca_util.Json
 
 type summary = {
   count : int;
@@ -77,7 +78,7 @@ let timed_rpc verb conn line =
   let t0 = Hca_util.Clock.now () in
   let j = rpc conn line in
   Registry.observe
-    (Printf.sprintf "hca_client_rpc_ms{verb=%S}" verb)
+    (Printf.sprintf "hca_client_rpc_ms{verb=\"%s\"}" verb)
     ((Hca_util.Clock.now () -. t0) *. 1000.);
   j
 
@@ -222,25 +223,30 @@ let delta_quantile before after name q =
   | Some hv when hv.Registry.count > 0 -> Registry.quantile hv q
   | _ -> 0.
 
+let num i = Json.Num (float_of_int i)
+
 let emit_rows path served agg_fields =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
+      let row kernel fields =
+        output_string oc (Json.row ~experiment:"serve_loadtest" ~kernel fields);
+        output_char oc '\n'
+      in
       List.iter
         (fun s ->
-          Printf.fprintf oc
-            "{\"experiment\":\"serve_loadtest\",\"kernel\":%S,\"seed\":%d,\
-             \"state\":%S,\"legal\":%b,\"final_mii\":%s,\"copies\":%d,\
-             \"latency_ms\":%.3f}\n"
-            s.kernel s.seed s.state s.legal
-            (match s.final_mii with Some m -> string_of_int m | None -> "null")
-            s.copies (s.latency_s *. 1000.))
+          row s.kernel
+            [
+              ("seed", num s.seed);
+              ("state", Json.Str s.state);
+              ("legal", Json.Bool s.legal);
+              ("final_mii", Option.fold ~none:Json.Null ~some:num s.final_mii);
+              ("copies", num s.copies);
+              ("latency_ms", Json.fixed 3 (s.latency_s *. 1000.));
+            ])
         served;
-      Printf.fprintf oc
-        "{\"experiment\":\"serve_loadtest\",\"kernel\":\"_aggregate\"%s}\n"
-        (String.concat ""
-           (List.map (fun (k, v) -> Printf.sprintf ",%S:%s" k v) agg_fields)))
+      row "_aggregate" agg_fields)
 
 let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
     ?(verify = false) ?json_out () =
@@ -267,7 +273,7 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
     let after = stats () in
     let rpc_q verb q =
       delta_quantile reg_before reg_after
-        (Printf.sprintf "hca_client_rpc_ms{verb=%S}" verb)
+        (Printf.sprintf "hca_client_rpc_ms{verb=\"%s\"}" verb)
         q
     in
     (* The latency histogram goes through lib/obs so the daemon's own
@@ -328,27 +334,27 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
       (fun out ->
         emit_rows out served
           [
-            ("count", string_of_int s.count);
-            ("ok", string_of_int s.ok);
-            ("failed", string_of_int s.failed);
-            ("deadline_exceeded", string_of_int s.deadline_exceeded);
-            ("elapsed_s", Printf.sprintf "%.6f" s.elapsed_s);
-            ("throughput_rps", Printf.sprintf "%.3f" s.throughput_rps);
-            ("p50_ms", Printf.sprintf "%.3f" s.p50_ms);
-            ("p95_ms", Printf.sprintf "%.3f" s.p95_ms);
-            ("p99_ms", Printf.sprintf "%.3f" s.p99_ms);
-            ("submit_p50_ms", Printf.sprintf "%.3f" s.submit_p50_ms);
-            ("submit_p95_ms", Printf.sprintf "%.3f" s.submit_p95_ms);
-            ("result_p50_ms", Printf.sprintf "%.3f" s.result_p50_ms);
-            ("result_p95_ms", Printf.sprintf "%.3f" s.result_p95_ms);
-            ("errors", string_of_int s.errors);
-            ("timeouts", string_of_int s.timeouts);
-            ("cache_hits", string_of_int s.cache_hits);
-            ("cache_misses", string_of_int s.cache_misses);
-            ("cache_entries", string_of_int s.cache_entries);
-            ("loaded_entries", string_of_int s.loaded_entries);
-            ("verified", string_of_int s.verified);
-            ("verify_mismatches", string_of_int s.verify_mismatches);
+            ("count", num s.count);
+            ("ok", num s.ok);
+            ("failed", num s.failed);
+            ("deadline_exceeded", num s.deadline_exceeded);
+            ("elapsed_s", Json.fixed 6 s.elapsed_s);
+            ("throughput_rps", Json.fixed 3 s.throughput_rps);
+            ("p50_ms", Json.fixed 3 s.p50_ms);
+            ("p95_ms", Json.fixed 3 s.p95_ms);
+            ("p99_ms", Json.fixed 3 s.p99_ms);
+            ("submit_p50_ms", Json.fixed 3 s.submit_p50_ms);
+            ("submit_p95_ms", Json.fixed 3 s.submit_p95_ms);
+            ("result_p50_ms", Json.fixed 3 s.result_p50_ms);
+            ("result_p95_ms", Json.fixed 3 s.result_p95_ms);
+            ("errors", num s.errors);
+            ("timeouts", num s.timeouts);
+            ("cache_hits", num s.cache_hits);
+            ("cache_misses", num s.cache_misses);
+            ("cache_entries", num s.cache_entries);
+            ("loaded_entries", num s.loaded_entries);
+            ("verified", num s.verified);
+            ("verify_mismatches", num s.verify_mismatches);
           ])
       json_out;
     Ok s

@@ -48,7 +48,7 @@ type summary = {
   verify_mismatches : int;
 }
 
-val rpc_once : path:string -> string -> (Json.t, string) result
+val rpc_once : path:string -> string -> (Hca_util.Json.t, string) result
 (** One request line over a throwaway connection: connect, send,
     parse the one-line reply (an [{"ok":false}] reply or any transport
     failure is [Error]).  What the [hca top] dashboard polls with. *)

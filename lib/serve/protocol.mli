@@ -75,7 +75,7 @@
     [{"verb":"metrics"}] (or ["format":"json"]) answers
     [{"ok":true,"metrics":{"counters":{..},"gauges":{..},
     "histograms":{..}}}] — the registry snapshot in the
-    {!Hca_obs.Obs.Registry.to_json_string} shape.
+    {!Hca_obs.Obs.Registry.to_json} shape.
     [{"verb":"metrics","format":"prometheus"}] answers
     [{"ok":true,"format":"prometheus","prometheus":"<text>"}] with the
     Prometheus text exposition as one JSON string, ready to serve to a
@@ -124,5 +124,5 @@ val request_of_line : string -> (request, string) result
 val error_response : string -> string
 (** [{"ok":false,"error":...}] — already newline-free. *)
 
-val ok_response : (string * Json.t) list -> string
+val ok_response : (string * Hca_util.Json.t) list -> string
 (** [{"ok":true, <fields>}]. *)

@@ -336,6 +336,48 @@ let test_dse_rows_match_standalone () =
         (Report.invariant_string e.Dse.report))
     res.Dse.evals
 
+(* Machine names reach the NDJSON verbatim, whatever bytes they hold:
+   every line must stay strict JSON and give the name back exactly. *)
+let test_dse_ndjson_names () =
+  let machine text =
+    match Machine_io.of_string text with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let body = "level 2 4\nlevel 2 4\ncn_in_wires 2\ndma_ports 4\n" in
+  let descs =
+    [
+      ("cafe", machine ("machine café\n" ^ body));
+      ("quoted", machine ("machine say\"hi\"\\tnow\n" ^ body));
+    ]
+  in
+  Alcotest.(check string) "escaped name parsed" "say\"hi\"\tnow"
+    (Machine_desc.name (List.assoc "quoted" descs));
+  let res =
+    Dse.run ~kernels:[ List.hd dse_kernels ] (Dse.machine_points descs)
+  in
+  let lines =
+    List.filter (( <> ) "") (String.split_on_char '\n' (Dse.to_ndjson res))
+  in
+  Alcotest.(check int) "two dse rows + two point rows" 4 (List.length lines);
+  List.iter
+    (fun line ->
+      match Hca_util.Json.parse line with
+      | Error e -> Alcotest.failf "not JSON (%s): %s" e line
+      | Ok row ->
+          let field k = Option.bind (Hca_util.Json.member k row) Hca_util.Json.str in
+          let point =
+            match field "experiment" with
+            | Some "dse" ->
+                List.hd (String.split_on_char '/' (Option.get (field "kernel")))
+            | _ -> Option.get (field "kernel")
+          in
+          Alcotest.(check (option string))
+            (point ^ " machine field")
+            (Some (Machine_desc.name (List.assoc point descs)))
+            (field "machine"))
+    lines
+
 let prop_non_dominated =
   QCheck.Test.make ~name:"non_dominated agrees with the definition" ~count:300
     seed_arb (fun seed ->
@@ -435,6 +477,8 @@ let () =
             test_dse_permutation_stable;
           Alcotest.test_case "rows equal standalone runs" `Quick
             test_dse_rows_match_standalone;
+          Alcotest.test_case "NDJSON names stay JSON" `Quick
+            test_dse_ndjson_names;
           QCheck_alcotest.to_alcotest prop_non_dominated;
         ] );
       ( "aliasing",

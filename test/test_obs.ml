@@ -4,6 +4,7 @@
    instrumented search, and the Chrome-trace export format. *)
 
 open Hca_obs
+module Json = Hca_util.Json
 
 let fabric = Hca_machine.Dspfabric.reference
 
@@ -163,8 +164,24 @@ let test_chrome_trace_valid () =
   let json =
     with_tracing (fun () ->
         ignore (Hca_core.Report.run fabric ddg);
+        Obs.observe "test.big" 1234567.5;
         Obs.Trace.to_chrome_json ~meta:[ ("origin", "test_obs") ] ())
   in
+  (* Counter args carry the exact value, not six significant digits. *)
+  let big =
+    match Json.parse json with
+    | Ok j ->
+        Option.bind (Json.member "traceEvents" j) (function
+          | Json.Arr evs ->
+              List.find_map
+                (fun e ->
+                  Option.bind (Json.member "args" e) (fun a ->
+                      Option.bind (Json.member "test.big" a) Json.num))
+                evs
+          | _ -> None)
+    | Error _ -> None
+  in
+  Alcotest.(check (option (float 0.))) "exact counter arg" (Some 1234567.5) big;
   match Trace_check.validate json with
   | Error e -> Alcotest.failf "invalid Chrome trace: %s" e
   | Ok stats ->
@@ -211,13 +228,13 @@ let read_lines path =
   List.rev !lines
 
 let parse_json line =
-  match Hca_serve.Json.parse line with
+  match Json.parse line with
   | Ok j -> j
   | Error e -> Alcotest.failf "log line is not JSON %S: %s" line e
 
-let jfield j k = Hca_serve.Json.member k j
+let jfield j k = Json.member k j
 
-let jstr j k = Option.bind (jfield j k) Hca_serve.Json.str
+let jstr j k = Option.bind (jfield j k) Json.str
 
 let test_log_json_and_level_filter () =
   let path = tmp_file "log" in
@@ -239,7 +256,7 @@ let test_log_json_and_level_filter () =
         [
           ("s", Obs.Log.S "v");
           ("i", Obs.Log.I 42);
-          ("f", Obs.Log.F 1.5);
+          ("f", Obs.Log.F 1234567.5);
           ("b", Obs.Log.B true);
         ];
       Obs.Log.error "keep.error" [ ("why", Obs.Log.S "boom \"quoted\"\n") ]);
@@ -252,19 +269,19 @@ let test_log_json_and_level_filter () =
   Alcotest.(check (option string)) "event name" (Some "keep.warn")
     (jstr w "event");
   Alcotest.(check (option int)) "request id" (Some 7)
-    (Option.bind (jfield w "req") Hca_serve.Json.int);
+    (Option.bind (jfield w "req") Json.int);
   Alcotest.(check (option string)) "string field" (Some "v") (jstr w "s");
   Alcotest.(check (option int)) "int field" (Some 42)
-    (Option.bind (jfield w "i") Hca_serve.Json.int);
+    (Option.bind (jfield w "i") Json.int);
   Alcotest.(check (option bool)) "bool field" (Some true)
-    (Option.bind (jfield w "b") Hca_serve.Json.bool);
-  Alcotest.(check (option (float 1e-9))) "float field" (Some 1.5)
-    (Option.bind (jfield w "f") Hca_serve.Json.num);
+    (Option.bind (jfield w "b") Json.bool);
+  Alcotest.(check (option (float 0.))) "float field exact" (Some 1234567.5)
+    (Option.bind (jfield w "f") Json.num);
   Alcotest.(check (option string)) "error level" (Some "error")
     (jstr e "level");
   Alcotest.(check (option string)) "escapes survive the round-trip"
     (Some "boom \"quoted\"\n") (jstr e "why");
-  let ts j = Option.get (Option.bind (jfield j "ts") Hca_serve.Json.num) in
+  let ts j = Option.get (Option.bind (jfield j "ts") Json.num) in
   Alcotest.(check bool) "timestamps monotone" true (ts e >= ts w);
   Alcotest.(check bool) "level_of_string" true
     (Obs.Log.level_of_string "warning" = Some Obs.Log.Warn
@@ -310,6 +327,7 @@ let test_registry_quantile_and_exposition () =
       List.iter
         (fun i -> Obs.Registry.observe ~buckets "r_lat_ms" (float_of_int (i + 1)))
         (List.init 100 Fun.id);
+      Obs.Registry.observe "r_big_ms" 1234567.5;
       Obs.Registry.set "r_depth" 3.;
       Obs.Registry.inc ~by:5 {|r_hits{verb="submit"}|};
       let snap = Obs.Registry.snapshot () in
@@ -348,18 +366,23 @@ let test_registry_quantile_and_exposition () =
                   Alcotest.failf "unparseable sample on %S" line)
         (String.split_on_char '\n' text);
       (* JSON exposition parses and carries the same figures. *)
-      match Hca_serve.Json.parse (Obs.Registry.to_json_string ()) with
+      match Json.parse (Json.to_string (Obs.Registry.to_json ())) with
       | Error e -> Alcotest.failf "metrics JSON does not parse: %s" e
       | Ok j ->
           let counters = Option.get (jfield j "counters") in
           Alcotest.(check (option int)) "counter in JSON" (Some 5)
             (Option.bind
-               (Hca_serve.Json.member {|r_hits{verb="submit"}|} counters)
-               Hca_serve.Json.int);
+               (Json.member {|r_hits{verb="submit"}|} counters)
+               Json.int);
           let hists = Option.get (jfield j "histograms") in
-          let h = Option.get (Hca_serve.Json.member "r_lat_ms" hists) in
+          let h = Option.get (Json.member "r_lat_ms" hists) in
           Alcotest.(check (option int)) "histogram count in JSON" (Some 100)
-            (Option.bind (jfield h "count") Hca_serve.Json.int))
+            (Option.bind (jfield h "count") Json.int);
+          (* Sums are exact in JSON (the Prometheus text keeps %g). *)
+          let big = Option.get (Json.member "r_big_ms" hists) in
+          Alcotest.(check (option (float 0.))) "exact histogram sum"
+            (Some 1234567.5)
+            (Option.bind (jfield big "sum") Json.num))
 
 (* ------------------------------------------------------------------ *)
 (* Flight ring: bounded, always dumps a valid trace even after heavy   *)

@@ -1,58 +1,15 @@
-(* Tests for the lib/serve compile daemon: JSON/protocol round-trips
+(* Tests for the lib/serve compile daemon: protocol round-trips
    (malformed input included), job-queue priority / cancel / deadline
    semantics, the in-process daemon handler, and the persistent memo
    store — warm-restart bit-equality against a cold run plus
    stale-stamp invalidation. *)
 
 open Hca_serve
+module Json = Hca_util.Json
 
 let tmp_store name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "hca_test_%s_%d.bin" name (Unix.getpid ()))
-
-(* ------------------------------------------------------------------ *)
-(* JSON                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_json_roundtrip () =
-  let cases =
-    [
-      {|null|};
-      {|true|};
-      {|42|};
-      {|-1.5|};
-      {|"a\"b\\c\nd"|};
-      {|[1,[2,3],{"k":null}]|};
-      {|{"a":1,"b":[true,false],"c":{"d":"e"}}|};
-    ]
-  in
-  List.iter
-    (fun s ->
-      match Json.parse s with
-      | Error e -> Alcotest.failf "parse %s: %s" s e
-      | Ok j -> (
-          let printed = Json.to_string j in
-          match Json.parse printed with
-          | Error e -> Alcotest.failf "reparse %s: %s" printed e
-          | Ok j' ->
-              Alcotest.(check bool)
-                (Printf.sprintf "roundtrip %s" s)
-                true (j = j')))
-    cases
-
-let test_json_escapes () =
-  match Json.parse {|"A\té"|} with
-  | Ok (Json.Str s) -> Alcotest.(check string) "unicode escapes" "A\t\xc3\xa9" s
-  | Ok _ -> Alcotest.fail "expected a string"
-  | Error e -> Alcotest.fail e
-
-let test_json_errors () =
-  List.iter
-    (fun s ->
-      match Json.parse s with
-      | Ok _ -> Alcotest.failf "accepted malformed %S" s
-      | Error _ -> ())
-    [ ""; "{"; "[1,]"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2"; "{\"a\":1,}" ]
 
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
@@ -493,9 +450,7 @@ let test_metrics_verb_roundtrip () =
       let t = Daemon.create () in
       ignore (run_one t {|{"verb":"submit","kernel":"fir2dim"}|});
       (* JSON exposition: the daemon's own counters and latency
-         histogram come back through the protocol parser, so the
-         round-trip also proves Registry.to_json_string is valid
-         JSON. *)
+         histogram come back through the protocol parser. *)
       let j =
         ok_json (line_of (Daemon.handle_line t {|{"verb":"metrics"}|}))
       in
@@ -662,12 +617,6 @@ let test_stats_telemetry_fields () =
 let () =
   Alcotest.run "serve"
     [
-      ( "json",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
-          Alcotest.test_case "escapes" `Quick test_json_escapes;
-          Alcotest.test_case "errors" `Quick test_json_errors;
-        ] );
       ( "protocol",
         [
           Alcotest.test_case "verbs" `Quick test_protocol_verbs;

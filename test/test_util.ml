@@ -1,4 +1,5 @@
-(* Unit and property tests for the utility library: Vec, Prng, Tabular. *)
+(* Unit and property tests for the utility library: Vec, Prng, Tabular,
+   Bitset and the Json codec. *)
 
 open Hca_util
 
@@ -213,9 +214,137 @@ let prop_prng_bounded =
       let x = Prng.int rng bound in
       x >= 0 && x < bound)
 
+(* ------------------------------------------------------------------ *)
+(* Json: the repo's one codec                                          *)
+(* ------------------------------------------------------------------ *)
+
+let test_json_roundtrip () =
+  let cases =
+    [
+      {|null|};
+      {|true|};
+      {|42|};
+      {|-1.5|};
+      {|"a\"b\\c\nd"|};
+      {|[1,[2,3],{"k":null}]|};
+      {|{"a":1,"b":[true,false],"c":{"d":"e"}}|};
+    ]
+  in
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Error e -> Alcotest.failf "parse %s: %s" s e
+      | Ok j -> (
+          let printed = Json.to_string j in
+          match Json.parse printed with
+          | Error e -> Alcotest.failf "reparse %s: %s" printed e
+          | Ok j' ->
+              Alcotest.(check bool)
+                (Printf.sprintf "roundtrip %s" s)
+                true (j = j')))
+    cases
+
+let test_json_escapes () =
+  let parses_to text expect =
+    match Json.parse text with
+    | Ok (Json.Str s) -> Alcotest.(check string) text expect s
+    | Ok _ -> Alcotest.fail "expected a string"
+    | Error e -> Alcotest.fail e
+  in
+  parses_to {|"A\u0009\u00e9"|} "A\t\xc3\xa9";
+  (* Raw UTF-8 passes through in both directions. *)
+  Alcotest.(check string) "UTF-8 unescaped" {|"café"|}
+    (Json.to_string (Json.Str "café"));
+  Alcotest.(check string) "control bytes" {|"\"\t\u0001"|}
+    (Json.to_string (Json.Str "\"\t\001"))
+
+let test_json_errors () =
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted malformed %S" s
+      | Error _ -> ())
+    [
+      ""; "{"; "[1,]"; {|{"a":}|}; "tru"; {|"unterminated|}; "1 2"; "{\"a\":1,}";
+      {|"caf\195\169"|}; {|"\u00g0"|}; "nan"; "inf"; "3 garbage";
+    ]
+
+let test_json_non_finite () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (string_of_float f) "null"
+        (Json.to_string (Json.Num f)))
+    [ nan; infinity; neg_infinity ];
+  Alcotest.(check string) "inside a row" {|{"experiment":"e","kernel":"k","gap":null}|}
+    (Json.row ~experiment:"e" ~kernel:"k" [ ("gap", Json.Num nan) ]);
+  Alcotest.(check string) "fixed decimals" "[0.125,2,1234567.5]"
+    (Json.to_string
+       (Json.Arr [ Json.fixed 3 0.12500001; Json.fixed 6 2.; Json.Num 1234567.5 ]))
+
+let json_gen =
+  let open QCheck.Gen in
+  let bytes n = string_size ~gen:char (int_bound n) in
+  let finite =
+    oneof
+      [
+        map float_of_int int;
+        map (fun f -> if Float.is_finite f then f else 0.) float;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun f -> Json.Num f) finite;
+               map (fun s -> Json.Str s) (bytes 12);
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n / 4))));
+               ( 1,
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair (bytes 8) (self (n / 4)))) );
+             ])
+
+let json_arb = QCheck.make ~print:Json.to_string json_gen
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"Json.parse inverts to_string" ~count:500 json_arb
+    (fun v -> Json.parse (Json.to_string v) = Ok v)
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"Json.parse never raises on random or mutated bytes"
+    ~count:1000
+    QCheck.(
+      quad json_arb (small_list (pair small_nat char)) small_nat string)
+    (fun (v, edits, cut, junk) ->
+      let b = Bytes.of_string (Json.to_string v) in
+      let n = Bytes.length b in
+      List.iter (fun (i, c) -> Bytes.set b (i mod n) c) edits;
+      let mutated = Bytes.sub_string b 0 (n - (cut mod (n + 1))) in
+      let total s = match Json.parse s with Ok _ | Error _ -> true in
+      total mutated && total junk)
+
 let () =
   Alcotest.run "util"
     [
+      ( "json",
+        [
+          Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
+          Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "errors" `Quick test_json_errors;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_parse_total;
+        ] );
       ( "vec",
         [
           Alcotest.test_case "push/get" `Quick test_vec_push_get;
