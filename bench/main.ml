@@ -771,11 +771,9 @@ let bechamel () =
                   State.recompute_cost see_state ~target_ii:see_ii
                     ~weights:Cost.default_weights));
          ]);
-      (* Batched frontier scoring against the per-candidate
-         speculate/penalise/undo loop it replaced: one mid-search
-         frontier state, the same candidate clusters, the same tear
-         penalty — the scores are bit-identical (property tested), so
-         the delta is pure data-layout/batching win. *)
+      (* The SEE's two per-step costs on one mid-search frontier state:
+         scoring every candidate cluster on the state's trail, and
+         materialising one beam winner (clone, then commit). *)
       (let spec_problem =
          let ddg = Hca_kernels.Fir2dim.ddg () in
          let pg =
@@ -806,6 +804,15 @@ let bechamel () =
        let clusters = [| 0; 1; 2; 3 |] in
        let scores = Array.make (Array.length clusters) nan in
        let tail_of_region = 3 in
+       let winner =
+         let feasible =
+           State.score_moves st ~node ~clusters ~ii ~target_ii:ii ~weights
+             ~tail_of_region ~scores
+         in
+         match Hca_util.Topk.smallest_indices ~k:1 scores ~len:4 with
+         | k :: _ when feasible > 0 -> clusters.(k)
+         | _ -> invalid_arg "bench-spec: no feasible move"
+       in
        Test.make_grouped ~name:"spec" ~fmt:"%s/%s"
          [
            Test.make ~name:"batched-score-moves"
@@ -814,27 +821,11 @@ let bechamel () =
                     (State.score_moves st ~node ~clusters ~ii ~target_ii:ii
                        ~weights ~tail_of_region ~scores
                       : int)));
-           Test.make ~name:"per-candidate-speculate"
+           Test.make ~name:"materialise-try-assign"
              (Staged.stage (fun () ->
-                  Array.iteri
-                    (fun k cluster ->
-                      scores.(k) <- nan;
-                      match
-                        State.speculate_assign st ~node ~cluster ~ii
-                          ~target_ii:ii ~weights
-                      with
-                      | Ok () ->
-                          let deficit =
-                            tail_of_region - 1
-                            - State.free_issue_slots st ~cluster ~ii
-                          in
-                          if deficit > 0 then
-                            State.add_penalty st
-                              (weights.Cost.w_tear *. float_of_int deficit);
-                          scores.(k) <- State.cost st;
-                          State.undo_speculation st
-                      | Error _ -> ())
-                    clusters));
+                  ignore
+                    (State.try_assign st ~node ~cluster:winner ~ii
+                       ~target_ii:ii ~weights)));
          ]);
       Test.make ~name:"sched/modulo-fir2dim"
         (Staged.stage

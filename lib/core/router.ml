@@ -100,9 +100,7 @@ let route_value state ~value ~src ~dst ~ii ~max_hops =
 
 (* Feasibility first, clone second: the attempt runs on the input
    state's undo trail ([State.probe_force] + detour routing in place),
-   and only a successful probe pays a clone — [State.commit_probe]
-   snapshots the probed state (bit-identical to replaying the attempt
-   on a [force_assign] clone, which is how this worked before) and the
+   and only a successful probe pays a copy ([State.commit_probe]); the
    trail then rewinds the input state either way.  The ~80% of
    fallback attempts with no feasible detour allocate no clone at
    all. *)

@@ -58,9 +58,9 @@ let candidate_clusters problem =
   |> List.map (fun (nd : Hca_machine.Pattern_graph.node) -> nd.id)
 
 (* A scored child of the frontier.  [Spec] is a move that was applied
-   to the parent's trail, scored, and undone — it holds no clone, only
+   to the parent's trail, scored, and rewound — it holds no clone, only
    the recipe to replay it.  [Mat] is a state the Route Allocator
-   already had to build (its detours have no trail twin). *)
+   already committed. *)
 type cand =
   | Spec of {
       parent : State.t;
@@ -99,10 +99,6 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
   let clusters_arr = Array.of_list clusters in
   let scores = Array.make (max 1 (Array.length clusters_arr)) nan in
   let explored = ref 1 and routed = ref 0 in
-  (* A child of the current frontier, either still speculative (the
-     move was scored on the parent's trail and undone — no clone paid
-     yet) or already materialised (the Route Allocator's fallback has
-     no trail twin, so it clones as before). *)
   let penalise ~tail_of_region st c =
     let deficit = tail_of_region - 1 - State.free_issue_slots st ~cluster:c ~ii in
     if deficit > 0 then
@@ -112,10 +108,9 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
     (* One pass over the state's flat arrays scores every candidate
        cluster (tear penalty included), with no per-candidate
        allocation; the candidate-width cut happens inside the batch, so
-       only the winners pay a [Spec] record.  Scores are bit-identical
-       to the speculate/penalise/undo loop this replaces (property
-       tested), and ties keep the cluster order, so the cut picks the
-       same winners. *)
+       only the winners pay a [Spec] record.  Each score is bit-identical
+       to the cost of the [try_assign] successor after [penalise]
+       (property tested), and ties keep the cluster order. *)
     let feasible =
       State.score_moves state ~node ~clusters:clusters_arr ~ii ~target_ii
         ~weights ~tail_of_region ~scores
@@ -144,9 +139,8 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
           clusters
     else []
   in
-  (* Clones are paid here, for beam survivors only: replaying the move
-     through the retained clone-based [try_assign] reproduces the
-     speculative score bit for bit. *)
+  (* Clones are paid here, for beam survivors only: [try_assign]
+     (clone, then commit) reproduces the batch score bit for bit. *)
   let materialise ~tail_of_region node = function
     | Mat st -> st
     | Spec { parent; cluster; cost } -> (
@@ -157,7 +151,7 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
             penalise ~tail_of_region st cluster;
             assert (State.cost st = cost);
             st
-        | Error _ -> assert false (* the speculation succeeded *))
+        | Error _ -> assert false (* the scored move succeeded *))
   in
   let by_cost a b = compare (State.cost a) (State.cost b) in
   (* Frontier cuts: stable top-k selection instead of sorting whole

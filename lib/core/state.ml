@@ -2,9 +2,9 @@ open Hca_machine
 
 (* Flat data layout: everything the per-probe hot path reads lives in
    int/float arrays indexed by PG node id — no [Resource.t] records, no
-   per-cluster lists, no boxed floats.  The speculation bookkeeping is
-   a preallocated arena (mark/rewind), so an apply/score/undo round
-   trip allocates nothing once the arena is warm. *)
+   per-cluster lists, no boxed floats.  Every move goes through one
+   path ([begin_move], [route_arcs], [rewind]) on a preallocated arena,
+   so a round trip allocates no undo record once the arena is warm. *)
 type t = {
   problem : Problem.t;
   (* Immutable per-problem caches, shared across clones. *)
@@ -31,63 +31,57 @@ type t = {
   mutable assigned : int;
   (* Per-cluster cost contributions, valid for the window [cache_ii]
      (-1 = stale).  A move touches at most a handful of clusters, so
-     [try_assign] refreshes only those instead of re-walking every PG
+     the move path refreshes only those instead of re-walking every PG
      regular node per candidate. *)
   node_util : float array;
   node_proj : int array;
   node_fanin : float array;
   mutable cache_ii : int;
-  (* In-flight speculative move, if any: the undo scalars live on the
-     state, the array-shaped undo trail in the checked-out [scr]
-     arena. *)
-  mutable sp_active : bool;
-  mutable sp_node : int;
-  mutable sp_cluster : int;
-  mutable sp_dem_alus : int;
-  mutable sp_dem_ags : int;
-  mutable sp_carried : int;
-  mutable sp_cache_ii : int;
-  mutable sp_fmark : Copy_flow.mark;
-  mutable sp_fwd_len : int;  (* forwards count at [probe_force] time *)
-  mutable scr : scratch option;
+  (* The arena of a Route-Allocator probe left applied between
+     {!probe_force} and {!abort_force}. *)
+  mutable probe : scratch option;
 }
 
-(* The array-shaped speculation arena: preallocated, pooled per domain
-   and checked out for the duration of one probe (or one in-flight
-   speculation), so the SEE's clones — one per beam survivor — carry
-   no scratch arrays at all. *)
+(* The move arena: preallocated, pooled per domain and checked out for
+   one move (or one open probe), so the SEE's clones — one per beam
+   survivor — carry no scratch arrays at all. *)
 and scratch = {
   mutable cap : int;  (* arrays sized for PGs up to this many nodes *)
-  mutable spf : float array;  (* [0]/[1]: saved [fl] slots *)
+  (* Undo scalars of the applied move. *)
+  mutable node : int;
+  mutable cluster : int;
+  mutable dem_alus0 : int;
+  mutable dem_ags0 : int;
+  mutable carried0 : int;
+  mutable cache_ii0 : int;
+  mutable fwd_len0 : int;
+  mutable fmark : Copy_flow.mark;
+  (* Routing outcome: the SEE's walk leaves its first blocked arc as
+     [src * pg_n + dst]; the Route Allocator's collects every blocked
+     [(value, src, dst)], newest first. *)
+  mutable blocked_arc : int;
+  mutable blocked : (int * int * int) list;
   (* Deduplicated regular clusters the move mutated, with the pre-move
-     contribution of each recorded at its arena slot.  [tmask] is the
-     membership bitset that makes the dedup O(1). *)
+     contribution of each saved at its arena slot while the SEE scores
+     the move.  [tmask] is the membership bitset that makes the dedup
+     O(1). *)
   mutable touched : int array;
   mutable touched_len : int;
   mutable tmask : Hca_util.Bitset.t;
   mutable tr_util : float array;
   mutable tr_proj : int array;
   mutable tr_fanin : float array;
-  (* Full-array snapshot for the (cold) move that had to
-     [refresh_all]. *)
-  mutable sp_full : bool;
-  mutable full_util : float array;
-  mutable full_proj : int array;
-  mutable full_fanin : float array;
+  terms : float array;  (* [fold_terms] output *)
 }
 
 let grow_scratch s cap =
   s.cap <- cap;
-  s.spf <- Array.make 2 0.0;
   s.touched <- Array.make cap 0;
   s.touched_len <- 0;
   s.tmask <- Hca_util.Bitset.create cap;
   s.tr_util <- Array.make cap 0.0;
   s.tr_proj <- Array.make cap 0;
-  s.tr_fanin <- Array.make cap 0.0;
-  s.full_util <- Array.make cap 0.0;
-  s.full_proj <- Array.make cap 0;
-  s.full_fanin <- Array.make cap 0.0
+  s.tr_fanin <- Array.make cap 0.0
 
 (* Domain-local free list: probes of different states interleave
    freely (each checkout is its own arena), and domains never share a
@@ -106,17 +100,23 @@ let acquire_scratch cap =
       let s =
         {
           cap = 0;
-          spf = [||];
+          node = -1;
+          cluster = -1;
+          dem_alus0 = 0;
+          dem_ags0 = 0;
+          carried0 = 0;
+          cache_ii0 = -1;
+          fwd_len0 = 0;
+          fmark = Copy_flow.no_mark;
+          blocked_arc = -1;
+          blocked = [];
           touched = [||];
           touched_len = 0;
           tmask = Hca_util.Bitset.create 0;
           tr_util = [||];
           tr_proj = [||];
           tr_fanin = [||];
-          sp_full = false;
-          full_util = [||];
-          full_proj = [||];
-          full_fanin = [||];
+          terms = Array.make 3 0.0;
         }
       in
       grow_scratch s cap;
@@ -218,19 +218,9 @@ let create ?(backbone = []) problem =
       node_proj = Array.make n_dem 1;
       node_fanin = Array.make n_dem 0.0;
       cache_ii = -1;
-      sp_active = false;
-      sp_node = -1;
-      sp_cluster = -1;
-      sp_dem_alus = 0;
-      sp_dem_ags = 0;
-      sp_carried = 0;
-      sp_cache_ii = -1;
-      sp_fmark = Copy_flow.push_mark flow;
-      sp_fwd_len = 0;
-      scr = None;
+      probe = None;
     }
   in
-  Copy_flow.undo_to_mark t.flow t.sp_fmark;
   Array.iter
     (fun (nd : Problem.node) ->
       match nd.pinned with
@@ -241,12 +231,15 @@ let create ?(backbone = []) problem =
     (Problem.nodes problem);
   t
 
-let clone t =
-  if t.sp_active then invalid_arg "State.clone: speculation in flight";
+(* The one record copy: every per-state array exactly as it stands —
+   mid-move too, since [Copy_flow.snapshot] is legal under an open
+   mark.  [regs]/[is_reg]/capacity caches/[scc] are immutable, so
+   copies share them; the move arena is pooled, so copies carry none. *)
+let copy t =
   {
     t with
     place = Array.copy t.place;
-    flow = Copy_flow.clone t.flow;
+    flow = Copy_flow.snapshot t.flow;
     dem_alus = Array.copy t.dem_alus;
     dem_ags = Array.copy t.dem_ags;
     fwd_val = Hca_util.Vec.copy t.fwd_val;
@@ -255,11 +248,12 @@ let clone t =
     node_util = Array.copy t.node_util;
     node_proj = Array.copy t.node_proj;
     node_fanin = Array.copy t.node_fanin;
-    scr = None;
+    probe = None;
   }
-(* [regs]/[is_reg]/capacity caches/[scc] are immutable, so clones
-   share them; the speculation scratch is pooled, so clones carry
-   none. *)
+
+let clone t =
+  if Option.is_some t.probe then invalid_arg "State.clone: probe in flight";
+  copy t
 
 (* One cluster's cost terms, recomputed from its demand accumulators and
    the flow's O(1) counters.  [id] must be a regular cluster. *)
@@ -288,12 +282,12 @@ let refresh_all t ~ii =
 
 let ensure_cache t ~ii = if t.cache_ii <> ii then refresh_all t ~ii
 
-(* Fold the cached per-cluster terms; same iteration order as a
+(* The one fold over the cached per-cluster terms, in the order of a
    from-scratch walk, so incremental and reference costs are
-   bit-identical.  [aggregate] builds the summary record for the cold
-   API; [score_now] is its allocation-free twin for the probe loop —
-   the two loops must mirror each other exactly. *)
-let aggregate t ~ii =
+   bit-identical.  Leaves max util, util spread and fan-in saturation
+   in [acc] (a float array, so nothing boxes) and returns the projected
+   II. *)
+let fold_terms t acc =
   let max_util = ref 0.0 and min_util = ref infinity in
   let projected = ref 1 in
   let fanin_sat = ref 0.0 in
@@ -308,39 +302,33 @@ let aggregate t ~ii =
     fanin_sat := !fanin_sat +. t.node_fanin.(id)
   done;
   let min_util = if !min_util = infinity then 0.0 else !min_util in
+  acc.(0) <- !max_util;
+  acc.(1) <- !max_util -. min_util;
+  acc.(2) <- !fanin_sat;
+  !projected
+
+let aggregate t ~ii =
+  let acc = Array.make 3 0.0 in
+  let projected_ii = fold_terms t acc in
   {
     Cost.copies = Copy_flow.copy_count t.flow;
-    max_util = !max_util;
-    util_spread = !max_util -. min_util;
-    projected_ii = !projected;
+    max_util = acc.(0);
+    util_spread = acc.(1);
+    projected_ii;
     target_ii = ii;
     used_in_ports = Copy_flow.used_in_ports_count t.flow;
-    fanin_sat = !fanin_sat;
+    fanin_sat = acc.(2);
     carried_cuts = t.carried_cuts;
   }
 
-let score_now t ~ii ~weights =
-  let max_util = ref 0.0 and min_util = ref infinity in
-  let projected = ref 1 in
-  let fanin_sat = ref 0.0 in
-  for k = 0 to Array.length t.regs - 1 do
-    let id = t.regs.(k) in
-    if t.slots_sum.(id) > 0 then begin
-      let util = t.node_util.(id) in
-      if util > !max_util then max_util := util;
-      if util < !min_util then min_util := util
-    end;
-    if t.node_proj.(id) > !projected then projected := t.node_proj.(id);
-    fanin_sat := !fanin_sat +. t.node_fanin.(id)
-  done;
-  let min_util = if !min_util = infinity then 0.0 else !min_util in
+(* [Cost.score (aggregate t ~ii)] without the summary record. *)
+let score_now t acc ~ii ~weights =
+  let projected_ii = fold_terms t acc in
   Cost.score_flat weights
     ~copies:(Copy_flow.copy_count t.flow)
-    ~max_util:!max_util
-    ~util_spread:(!max_util -. min_util)
-    ~projected_ii:!projected ~target_ii:ii
+    ~max_util:acc.(0) ~util_spread:acc.(1) ~projected_ii ~target_ii:ii
     ~used_in_ports:(Copy_flow.used_in_ports_count t.flow)
-    ~fanin_sat:!fanin_sat ~carried_cuts:t.carried_cuts
+    ~fanin_sat:acc.(2) ~carried_cuts:t.carried_cuts
 
 let summary t ~ii =
   ensure_cache t ~ii;
@@ -353,31 +341,25 @@ let add_penalty t p = t.fl.(1) <- t.fl.(1) +. p
 let free_issue_slots t ~cluster ~ii =
   (t.slots_issue.(cluster) * ii) - (t.dem_alus.(cluster) + t.dem_ags.(cluster))
 
+(* Inlined [Resource.fits] on the struct-of-arrays demand. *)
+let fits t ~cluster ~d_alus ~d_ags ~ii =
+  d_alus <= t.cap_alus.(cluster) * ii
+  && d_ags <= t.cap_ags.(cluster) * ii
+  && d_alus + d_ags <= t.slots_issue.(cluster) * ii
+
 (* Route-Allocator hop feasibility: would [via] still fit its resource
-   table after spending one ALU slot re-emitting a value?  The flat
-   twin of [is_regular && Resource.fits (demand + 1 alu)] — the BFS
-   asks this per visited node, so it must not build records. *)
+   table after spending one ALU slot re-emitting a value?  The BFS asks
+   this per visited node, so it must not build records. *)
 let can_host_forward t ~via ~ii =
-  via >= 0 && via < t.pg_n
-  && Bytes.unsafe_get t.is_reg via <> '\000'
-  &&
-  let d_alus = t.dem_alus.(via) + 1 in
-  let d_ags = t.dem_ags.(via) in
-  d_alus <= t.cap_alus.(via) * ii
-  && d_ags <= t.cap_ags.(via) * ii
-  && d_alus + d_ags <= t.slots_issue.(via) * ii
+  is_reg t via
+  && fits t ~cluster:via ~d_alus:(t.dem_alus.(via) + 1) ~d_ags:t.dem_ags.(via)
+       ~ii
 
 let recompute_cost t ~target_ii ~weights =
   refresh_all t ~ii:target_ii;
   t.fl.(0) <- Cost.score weights (aggregate t ~ii:target_ii)
 
 let same_circuit t a b = t.scc.(a) >= 0 && t.scc.(a) = t.scc.(b)
-
-(* Inlined [Resource.fits] on the struct-of-arrays demand. *)
-let fits t ~cluster ~d_alus ~d_ags ~ii =
-  d_alus <= t.cap_alus.(cluster) * ii
-  && d_ags <= t.cap_ags.(cluster) * ii
-  && d_alus + d_ags <= t.slots_issue.(cluster) * ii
 
 (* Touched-cluster recording: deduplicated via the bitset, ports
    filtered out at the source (only regular clusters have cost
@@ -392,444 +374,224 @@ let touch t s c =
     s.touched_len <- s.touched_len + 1
   end
 
-let clear_touched s =
+(* The move path.  Every move — the SEE's scoring, its materialisation
+   and the Route Allocator's forced assignment — is [begin_move], then
+   one [route_arcs] walk, then one [rewind], all on the input state
+   under a pooled arena.  Errors are preallocated constants, so a
+   rejected candidate allocates nothing. *)
+
+let err_assigned = Error "node already assigned"
+let err_not_regular = Error "target is not a regular cluster"
+let err_exhausted = Error "resource table exhausted under target II"
+
+(* [isAssignable]: on success, save the undo scalars, open a flow mark
+   and apply the placement and its demand to [t] itself. *)
+let begin_move t s ~node ~cluster ~ii =
+  if t.place.(node) >= 0 then err_assigned
+  else if not (is_reg t cluster) then err_not_regular
+  else
+    let nd = Problem.node t.problem node in
+    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
+    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
+    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then err_exhausted
+    else begin
+      s.node <- node;
+      s.cluster <- cluster;
+      s.dem_alus0 <- t.dem_alus.(cluster);
+      s.dem_ags0 <- t.dem_ags.(cluster);
+      s.carried0 <- t.carried_cuts;
+      s.cache_ii0 <- t.cache_ii;
+      s.fwd_len0 <- Hca_util.Vec.length t.fwd_val;
+      s.fmark <- Copy_flow.push_mark t.flow;
+      t.place.(node) <- cluster;
+      t.dem_alus.(cluster) <- d_alus;
+      t.dem_ags.(cluster) <- d_ags;
+      t.assigned <- t.assigned + 1;
+      touch t s cluster;
+      Ok ()
+    end
+
+(* Route the arcs between the moved node and its already-placed
+   neighbours ([out]: the node's succs, else its preds), recording
+   touched clusters and carried cuts.  A blocked arc stops the SEE's
+   walk (false, arc left in [s.blocked_arc]); with [collect] the Route
+   Allocator's walk records it in [s.blocked] and goes on.  Partial
+   mutations are the caller's to rewind.  Hand-rolled recursion: the
+   per-probe loop must not allocate closures. *)
+let rec route_edges t s ~collect ~out = function
+  | [] -> true
+  | (e : Problem.edge) :: rest ->
+      let src = if out then s.cluster else t.place.(e.src) in
+      let dst = if out then t.place.(e.dst) else s.cluster in
+      if src < 0 || dst < 0 || src = dst then route_edges t s ~collect ~out rest
+      else if Copy_flow.can_add t.flow ~src ~dst then begin
+        Copy_flow.add_copy t.flow ~src ~dst e.value;
+        touch t s dst;
+        if e.distance > 0 || same_circuit t e.src e.dst then
+          t.carried_cuts <- t.carried_cuts + 1;
+        route_edges t s ~collect ~out rest
+      end
+      else if collect then begin
+        s.blocked <- (e.value, src, dst) :: s.blocked;
+        route_edges t s ~collect ~out rest
+      end
+      else begin
+        s.blocked_arc <- (src * t.pg_n) + dst;
+        false
+      end
+
+let route_arcs t s ~collect =
+  route_edges t s ~collect ~out:false (Problem.preds t.problem s.node)
+  && route_edges t s ~collect ~out:true (Problem.succs t.problem s.node)
+
+(* The one rewind: drop the forwards injected since [begin_move] (and
+   their ALU slots), restore the undo scalars, unwind the flow to the
+   move's mark and clear the touched set. *)
+let rewind t s =
+  let fwd_len = Hca_util.Vec.length t.fwd_via in
+  if fwd_len > s.fwd_len0 then begin
+    for i = s.fwd_len0 to fwd_len - 1 do
+      let via = Hca_util.Vec.get t.fwd_via i in
+      t.dem_alus.(via) <- t.dem_alus.(via) - 1
+    done;
+    Hca_util.Vec.truncate t.fwd_val s.fwd_len0;
+    Hca_util.Vec.truncate t.fwd_via s.fwd_len0
+  end;
+  t.place.(s.node) <- -1;
+  t.dem_alus.(s.cluster) <- s.dem_alus0;
+  t.dem_ags.(s.cluster) <- s.dem_ags0;
+  t.assigned <- t.assigned - 1;
+  t.carried_cuts <- s.carried0;
+  t.cache_ii <- s.cache_ii0;
+  Copy_flow.undo_to_mark t.flow s.fmark;
   for i = 0 to s.touched_len - 1 do
     Hca_util.Bitset.clear s.tmask s.touched.(i)
   done;
   s.touched_len <- 0
 
-(* Route every arc between [node] (going to [cluster]) and its
-   already-placed neighbours, recording touched clusters and carried
-   cuts.  Returns -1 on success, or the flat [src * pg_n + dst] of the
-   first blocked arc — partial mutations are NOT rolled back, the
-   caller owns the rewind (or discards the clone).  Hand-rolled
-   recursion: the per-probe loop must not allocate closures. *)
-let rec route_preds t s cluster = function
-  | [] -> -1
-  | (e : Problem.edge) :: rest ->
-      let src = t.place.(e.src) in
-      if src < 0 || src = cluster then route_preds t s cluster rest
-      else if Copy_flow.can_add t.flow ~src ~dst:cluster then begin
-        Copy_flow.add_copy t.flow ~src ~dst:cluster e.value;
-        touch t s cluster;
-        if e.distance > 0 || same_circuit t e.src e.dst then
-          t.carried_cuts <- t.carried_cuts + 1;
-        route_preds t s cluster rest
-      end
-      else (src * t.pg_n) + cluster
+(* Score of the applied move with [t]'s cache warm at [target_ii]:
+   refresh the touched clusters, fold, then put their pre-move terms
+   back (each cluster appears once, so any restore order is exact). *)
+let score_applied t s ~target_ii ~weights =
+  for i = 0 to s.touched_len - 1 do
+    let id = s.touched.(i) in
+    s.tr_util.(i) <- t.node_util.(id);
+    s.tr_proj.(i) <- t.node_proj.(id);
+    s.tr_fanin.(i) <- t.node_fanin.(id);
+    refresh_node t ~ii:target_ii id
+  done;
+  let v = score_now t s.terms ~ii:target_ii ~weights in
+  for i = 0 to s.touched_len - 1 do
+    let id = s.touched.(i) in
+    t.node_util.(id) <- s.tr_util.(i);
+    t.node_proj.(id) <- s.tr_proj.(i);
+    t.node_fanin.(id) <- s.tr_fanin.(i)
+  done;
+  v
 
-let rec route_succs t s cluster = function
-  | [] -> -1
-  | (e : Problem.edge) :: rest ->
-      let d = t.place.(e.dst) in
-      if d < 0 || d = cluster then route_succs t s cluster rest
-      else if Copy_flow.can_add t.flow ~src:cluster ~dst:d then begin
-        Copy_flow.add_copy t.flow ~src:cluster ~dst:d e.value;
-        touch t s d;
-        if e.distance > 0 || same_circuit t e.src e.dst then
-          t.carried_cuts <- t.carried_cuts + 1;
-        route_succs t s cluster rest
-      end
-      else (cluster * t.pg_n) + d
-
-let route_arcs t s ~node ~cluster =
-  let r = route_preds t s cluster (Problem.preds t.problem node) in
-  if r >= 0 then r else route_succs t s cluster (Problem.succs t.problem node)
+let score_moves t ~node ~clusters ~ii ~target_ii ~weights ~tail_of_region
+    ~scores =
+  if t.place.(node) >= 0 then
+    invalid_arg "State.score_moves: node already assigned";
+  ensure_cache t ~ii:target_ii;
+  let base_extra = t.fl.(1) in
+  let feasible = ref 0 in
+  let s = acquire_scratch t.pg_n in
+  for k = 0 to Array.length clusters - 1 do
+    let cluster = clusters.(k) in
+    scores.(k) <- nan;
+    match begin_move t s ~node ~cluster ~ii with
+    | Error _ -> ()
+    | Ok () ->
+        if not (route_arcs t s ~collect:false) then
+          Hca_obs.Obs.count "state.spec_reject" 1
+        else begin
+          let cost_v = score_applied t s ~target_ii ~weights in
+          (* The region-tear lookahead the SEE applies to each surviving
+             move, with the exact float-op order of
+             [add_penalty]-then-[cost]. *)
+          let deficit =
+            tail_of_region - 1 - free_issue_slots t ~cluster ~ii
+          in
+          let extra =
+            if deficit > 0 then
+              base_extra +. (weights.Cost.w_tear *. float_of_int deficit)
+            else base_extra
+          in
+          scores.(k) <- cost_v +. extra;
+          incr feasible;
+          Hca_obs.Obs.count "state.spec_apply" 1
+        end;
+        rewind t s
+  done;
+  release_scratch s;
+  !feasible
 
 (* Incremental twin of {!recompute_cost}: refresh only the clusters the
-   move touched (consumes and clears the arena). *)
+   move touched. *)
 let update_cost t s ~target_ii ~weights =
   if t.cache_ii <> target_ii then refresh_all t ~ii:target_ii
   else
     for i = 0 to s.touched_len - 1 do
       refresh_node t ~ii:target_ii s.touched.(i)
     done;
-  clear_touched s;
-  t.fl.(0) <- score_now t ~ii:target_ii ~weights
+  t.fl.(0) <- score_now t s.terms ~ii:target_ii ~weights
 
-let err_assigned = "node already assigned"
-let err_not_regular = "target is not a regular cluster"
-let err_exhausted = "resource table exhausted under target II"
-
+(* Clone, then commit: the move runs on [t]'s trail, the moved state is
+   copied and re-scored incrementally, and [t] is rewound. *)
 let try_assign t ~node ~cluster ~ii ~target_ii ~weights =
-  let nd = Problem.node t.problem node in
-  if t.place.(node) >= 0 then Error err_assigned
-  else if not (is_reg t cluster) then Error err_not_regular
-  else
-    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
-    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
-    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then Error err_exhausted
-    else begin
-      let t' = clone t in
-      t'.place.(node) <- cluster;
-      t'.dem_alus.(cluster) <- d_alus;
-      t'.dem_ags.(cluster) <- d_ags;
-      t'.assigned <- t'.assigned + 1;
-      let sc = acquire_scratch t.pg_n in
-      touch t' sc cluster;
-      let blocked = route_arcs t' sc ~node ~cluster in
-      if blocked < 0 then begin
-        update_cost t' sc ~target_ii ~weights;
-        release_scratch sc;
-        Ok t'
-      end
-      else begin
-        clear_touched sc;
-        release_scratch sc;
-        (* The mutated clone is discarded wholesale. *)
-        Error
-          (Printf.sprintf "no communication pattern %d->%d" (blocked / t.pg_n)
-             (blocked mod t.pg_n))
-      end
-    end
-
-(* Shared by [speculate_assign] and [score_moves]: refresh the touched
-   clusters under [target_ii], snapshotting each pre-move contribution
-   at its arena slot first (each cluster appears once, so any restore
-   order lands on the pre-move values).  The cold cache-miss move
-   snapshots the full arrays instead. *)
-let refresh_speculative t s ~target_ii =
-  if t.cache_ii <> target_ii then begin
-    s.sp_full <- true;
-    let n_dem = Array.length t.node_util in
-    Array.blit t.node_util 0 s.full_util 0 n_dem;
-    Array.blit t.node_proj 0 s.full_proj 0 n_dem;
-    Array.blit t.node_fanin 0 s.full_fanin 0 n_dem;
-    refresh_all t ~ii:target_ii
-  end
-  else begin
-    s.sp_full <- false;
-    for i = 0 to s.touched_len - 1 do
-      let id = s.touched.(i) in
-      s.tr_util.(i) <- t.node_util.(id);
-      s.tr_proj.(i) <- t.node_proj.(id);
-      s.tr_fanin.(i) <- t.node_fanin.(id);
-      refresh_node t ~ii:target_ii id
-    done
-  end
-
-let restore_speculative t s =
-  if s.sp_full then begin
-    let n_dem = Array.length t.node_util in
-    Array.blit s.full_util 0 t.node_util 0 n_dem;
-    Array.blit s.full_proj 0 t.node_proj 0 n_dem;
-    Array.blit s.full_fanin 0 t.node_fanin 0 n_dem
-  end
-  else
-    for i = s.touched_len - 1 downto 0 do
-      let id = s.touched.(i) in
-      t.node_util.(id) <- s.tr_util.(i);
-      t.node_proj.(id) <- s.tr_proj.(i);
-      t.node_fanin.(id) <- s.tr_fanin.(i)
-    done
-
-(* Trail-based twin of {!try_assign}: the same move, the same checks,
-   the same arithmetic — applied to [t] itself under the preallocated
-   arena instead of a clone.  The member rows are deliberately left
-   untouched: no cost term reads them, and the round trip restores the
-   state bit for bit without them (property tested against
-   [debug_identical]). *)
-let speculate_assign t ~node ~cluster ~ii ~target_ii ~weights =
-  if t.sp_active then invalid_arg "State.speculate_assign: already in flight";
-  let nd = Problem.node t.problem node in
-  if t.place.(node) >= 0 then Error err_assigned
-  else if not (is_reg t cluster) then Error err_not_regular
-  else
-    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
-    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
-    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then Error err_exhausted
-    else begin
-      t.sp_node <- node;
-      t.sp_cluster <- cluster;
-      t.sp_dem_alus <- t.dem_alus.(cluster);
-      t.sp_dem_ags <- t.dem_ags.(cluster);
-      t.sp_carried <- t.carried_cuts;
-      t.sp_cache_ii <- t.cache_ii;
-      t.sp_fmark <- Copy_flow.push_mark t.flow;
-      let sc = acquire_scratch t.pg_n in
-      sc.spf.(0) <- t.fl.(0);
-      sc.spf.(1) <- t.fl.(1);
-      t.place.(node) <- cluster;
-      t.dem_alus.(cluster) <- d_alus;
-      t.dem_ags.(cluster) <- d_ags;
-      t.assigned <- t.assigned + 1;
-      touch t sc cluster;
-      let blocked = route_arcs t sc ~node ~cluster in
-      if blocked >= 0 then begin
-        t.place.(node) <- -1;
-        t.dem_alus.(cluster) <- t.sp_dem_alus;
-        t.dem_ags.(cluster) <- t.sp_dem_ags;
-        t.assigned <- t.assigned - 1;
-        t.carried_cuts <- t.sp_carried;
-        Copy_flow.undo_to_mark t.flow t.sp_fmark;
-        clear_touched sc;
-        release_scratch sc;
-        Hca_obs.Obs.count "state.spec_reject" 1;
-        (* The SEE discards speculative error text; the arc ids stay
-           available through the retained clone-based [try_assign],
-           which the no-candidate diagnosis uses. *)
-        Error "no communication pattern"
-      end
-      else begin
-        refresh_speculative t sc ~target_ii;
-        t.fl.(0) <- score_now t ~ii:target_ii ~weights;
-        t.sp_active <- true;
-        t.scr <- Some sc;
-        Hca_obs.Obs.count "state.spec_apply" 1;
-        Ok ()
-      end
-    end
-
-let undo_speculation t =
-  if not t.sp_active then
-    invalid_arg "State.undo_speculation: nothing in flight";
-  let sc = match t.scr with Some s -> s | None -> assert false in
-  restore_speculative t sc;
-  t.cache_ii <- t.sp_cache_ii;
-  t.fl.(0) <- sc.spf.(0);
-  t.fl.(1) <- sc.spf.(1);
-  t.carried_cuts <- t.sp_carried;
-  t.place.(t.sp_node) <- -1;
-  t.dem_alus.(t.sp_cluster) <- t.sp_dem_alus;
-  t.dem_ags.(t.sp_cluster) <- t.sp_dem_ags;
-  t.assigned <- t.assigned - 1;
-  Copy_flow.undo_to_mark t.flow t.sp_fmark;
-  clear_touched sc;
-  release_scratch sc;
-  t.scr <- None;
-  t.sp_active <- false;
-  Hca_obs.Obs.count "state.spec_undo" 1
-
-(* Batched frontier scoring: evaluate every candidate cluster for
-   [node] in one pass, reusing the speculation arena per candidate.
-   [scores.(k)] receives the would-be {!cost} of the move to
-   [clusters.(k)] — including the region-tear penalty the SEE would
-   apply — or [nan] when the move is infeasible.  Returns the feasible
-   count.  The state is restored bit for bit between candidates and
-   before returning; the float arithmetic is shared with the
-   speculative path ([score_now] / [Cost.score_flat]), so the batch is
-   bit-identical to a speculate/penalise/undo loop (property
-   tested). *)
-let score_moves t ~node ~clusters ~ii ~target_ii ~weights ~tail_of_region
-    ~scores =
-  if t.sp_active then invalid_arg "State.score_moves: speculation in flight";
-  if t.place.(node) >= 0 then
-    invalid_arg "State.score_moves: node already assigned";
-  let nd = Problem.node t.problem node in
-  let nd_alus = nd.Problem.demand.Resource.alus in
-  let nd_ags = nd.Problem.demand.Resource.ags in
-  let base_extra = t.fl.(1) in
-  let feasible = ref 0 in
-  let sc = acquire_scratch t.pg_n in
-  for k = 0 to Array.length clusters - 1 do
-    let cluster = clusters.(k) in
-    scores.(k) <- nan;
-    if is_reg t cluster then begin
-    let d_alus = t.dem_alus.(cluster) + nd_alus in
-    let d_ags = t.dem_ags.(cluster) + nd_ags in
-    if fits t ~cluster ~d_alus ~d_ags ~ii then begin
-      let sv_dem_alus = t.dem_alus.(cluster) in
-      let sv_dem_ags = t.dem_ags.(cluster) in
-      let sv_carried = t.carried_cuts in
-      let sv_cache = t.cache_ii in
-      let fmark = Copy_flow.push_mark t.flow in
-      t.place.(node) <- cluster;
-      t.dem_alus.(cluster) <- d_alus;
-      t.dem_ags.(cluster) <- d_ags;
-      t.assigned <- t.assigned + 1;
-      touch t sc cluster;
-      let blocked = route_arcs t sc ~node ~cluster in
-      if blocked >= 0 then Hca_obs.Obs.count "state.spec_reject" 1
-      else begin
-        refresh_speculative t sc ~target_ii;
-        let cost_v = score_now t ~ii:target_ii ~weights in
-        (* The region-tear lookahead the SEE applies to each surviving
-           move, with the exact float-op order of
-           [add_penalty]-then-[cost]. *)
-        let deficit =
-          tail_of_region - 1
-          - ((t.slots_issue.(cluster) * ii) - (d_alus + d_ags))
-        in
-        let extra =
-          if deficit > 0 then
-            base_extra +. (weights.Cost.w_tear *. float_of_int deficit)
-          else base_extra
-        in
-        scores.(k) <- cost_v +. extra;
-        incr feasible;
-        Hca_obs.Obs.count "state.spec_apply" 1;
-        restore_speculative t sc;
-        t.cache_ii <- sv_cache;
-        Hca_obs.Obs.count "state.spec_undo" 1
-      end;
-      t.place.(node) <- -1;
-      t.dem_alus.(cluster) <- sv_dem_alus;
-      t.dem_ags.(cluster) <- sv_dem_ags;
-      t.assigned <- t.assigned - 1;
-      t.carried_cuts <- sv_carried;
-      Copy_flow.undo_to_mark t.flow fmark;
-      clear_touched sc
-    end
-    end
-  done;
-  release_scratch sc;
-  !feasible
-
-(* Route-Allocator entry: blocked arcs are collected instead of
-   failing the move.  Cold path — the per-call closure is fine. *)
-let force_assign t ~node ~cluster ~ii =
-  let nd = Problem.node t.problem node in
-  if t.place.(node) >= 0 then Error err_assigned
-  else if not (is_reg t cluster) then Error err_not_regular
-  else
-    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
-    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
-    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then Error err_exhausted
-    else begin
-      let t' = clone t in
-      t'.place.(node) <- cluster;
-      t'.dem_alus.(cluster) <- d_alus;
-      t'.dem_ags.(cluster) <- d_ags;
-      t'.assigned <- t'.assigned + 1;
-      t'.cache_ii <- -1;
-      let blocked = ref [] in
-      let route ~src ~dst ~carried value =
-        if src <> dst then
-          if Copy_flow.can_add t'.flow ~src ~dst then begin
-            Copy_flow.add_copy t'.flow ~src ~dst value;
-            if carried then t'.carried_cuts <- t'.carried_cuts + 1
+  let s = acquire_scratch t.pg_n in
+  let r =
+    match begin_move t s ~node ~cluster ~ii with
+    | Error m -> Error m
+    | Ok () ->
+        let r =
+          if route_arcs t s ~collect:false then begin
+            let t' = copy t in
+            update_cost t' s ~target_ii ~weights;
+            Ok t'
           end
-          else blocked := (value, src, dst) :: !blocked
-      in
-      List.iter
-        (fun (e : Problem.edge) ->
-          let s = t'.place.(e.src) in
-          if s >= 0 then
-            route ~src:s ~dst:cluster
-              ~carried:(e.distance > 0 || same_circuit t e.src e.dst)
-              e.value)
-        (Problem.preds t.problem node);
-      List.iter
-        (fun (e : Problem.edge) ->
-          let d = t'.place.(e.dst) in
-          if d >= 0 then
-            route ~src:cluster ~dst:d
-              ~carried:(e.distance > 0 || same_circuit t e.src e.dst)
-              e.value)
-        (Problem.succs t.problem node);
-      Ok (t', List.rev !blocked)
-    end
-
-(* Trail-based feasibility twin of {!force_assign}: the same move and
-   the same direct-arc routing sequence, applied to [t] itself under a
-   flow mark instead of a clone.  The Route Allocator probes an attempt
-   here first — detouring the returned blocked values on [t] with
-   {!add_forward}/[Copy_flow.add_copy] — and only pays a clone (via the
-   retained {!force_assign} replay) for the attempts whose detours all
-   went through; {!abort_force} rewinds the probe, forwards included,
-   bit for bit.  Cost caches are never touched: the probe answers
-   feasibility only. *)
-let probe_force t ~node ~cluster ~ii =
-  if t.sp_active then invalid_arg "State.probe_force: speculation in flight";
-  let nd = Problem.node t.problem node in
-  if t.place.(node) >= 0 then Error err_assigned
-  else if not (is_reg t cluster) then Error err_not_regular
-  else
-    let d_alus = t.dem_alus.(cluster) + nd.Problem.demand.Resource.alus in
-    let d_ags = t.dem_ags.(cluster) + nd.Problem.demand.Resource.ags in
-    if not (fits t ~cluster ~d_alus ~d_ags ~ii) then Error err_exhausted
-    else begin
-      t.sp_node <- node;
-      t.sp_cluster <- cluster;
-      t.sp_dem_alus <- t.dem_alus.(cluster);
-      t.sp_dem_ags <- t.dem_ags.(cluster);
-      t.sp_carried <- t.carried_cuts;
-      t.sp_cache_ii <- t.cache_ii;
-      t.sp_fwd_len <- Hca_util.Vec.length t.fwd_val;
-      t.sp_fmark <- Copy_flow.push_mark t.flow;
-      t.sp_active <- true;
-      t.place.(node) <- cluster;
-      t.dem_alus.(cluster) <- d_alus;
-      t.dem_ags.(cluster) <- d_ags;
-      t.assigned <- t.assigned + 1;
-      (* Mirror [force_assign]'s routing loop exactly: same arc order,
-         same [can_add] decisions against the same intermediate flow,
-         so the blocked list is identical to the clone path's. *)
-      let blocked = ref [] in
-      let route ~src ~dst ~carried value =
-        if src <> dst then
-          if Copy_flow.can_add t.flow ~src ~dst then begin
-            Copy_flow.add_copy t.flow ~src ~dst value;
-            if carried then t.carried_cuts <- t.carried_cuts + 1
-          end
-          else blocked := (value, src, dst) :: !blocked
-      in
-      List.iter
-        (fun (e : Problem.edge) ->
-          let s = t.place.(e.src) in
-          if s >= 0 then
-            route ~src:s ~dst:cluster
-              ~carried:(e.distance > 0 || same_circuit t e.src e.dst)
-              e.value)
-        (Problem.preds t.problem node);
-      List.iter
-        (fun (e : Problem.edge) ->
-          let d = t.place.(e.dst) in
-          if d >= 0 then
-            route ~src:cluster ~dst:d
-              ~carried:(e.distance > 0 || same_circuit t e.src e.dst)
-              e.value)
-        (Problem.succs t.problem node);
-      Ok (List.rev !blocked)
-    end
-
-(* Materialise a successful probe as a fresh successor state: copy the
-   per-state arrays exactly as they stand — move, direct arcs and
-   detours applied — and re-score from scratch, as the Route
-   Allocator's commit always has.  The caller still owns the probe on
-   [t] and must {!abort_force} it afterwards; the snapshot shares
-   nothing mutable with [t], so the rewind cannot disturb it. *)
-let commit_probe t ~target_ii ~weights =
-  if not t.sp_active then invalid_arg "State.commit_probe: nothing in flight";
-  let t' =
-    {
-      t with
-      place = Array.copy t.place;
-      flow = Copy_flow.snapshot t.flow;
-      dem_alus = Array.copy t.dem_alus;
-      dem_ags = Array.copy t.dem_ags;
-      fwd_val = Hca_util.Vec.copy t.fwd_val;
-      fwd_via = Hca_util.Vec.copy t.fwd_via;
-      fl = Array.copy t.fl;
-      node_util = Array.copy t.node_util;
-      node_proj = Array.copy t.node_proj;
-      node_fanin = Array.copy t.node_fanin;
-      sp_active = false;
-      scr = None;
-    }
+          else
+            Error
+              (Printf.sprintf "no communication pattern %d->%d"
+                 (s.blocked_arc / t.pg_n) (s.blocked_arc mod t.pg_n))
+        in
+        rewind t s;
+        r
   in
+  release_scratch s;
+  r
+
+let probe_force t ~node ~cluster ~ii =
+  if Option.is_some t.probe then
+    invalid_arg "State.probe_force: probe in flight";
+  let s = acquire_scratch t.pg_n in
+  match begin_move t s ~node ~cluster ~ii with
+  | Error m ->
+      release_scratch s;
+      Error m
+  | Ok () ->
+      s.blocked <- [];
+      ignore (route_arcs t s ~collect:true : bool);
+      t.probe <- Some s;
+      Ok (List.rev s.blocked)
+
+let open_probe t fn =
+  match t.probe with
+  | Some s -> s
+  | None -> invalid_arg (fn ^ ": no probe in flight")
+
+let commit_probe t ~target_ii ~weights =
+  ignore (open_probe t "State.commit_probe" : scratch);
+  let t' = copy t in
   recompute_cost t' ~target_ii ~weights;
   t'
 
 let abort_force t =
-  if not t.sp_active then invalid_arg "State.abort_force: nothing in flight";
-  (* Forwards the Route Allocator injected since the probe: pop their
-     demand contributions, then truncate the vectors. *)
-  let len = Hca_util.Vec.length t.fwd_via in
-  for i = t.sp_fwd_len to len - 1 do
-    let via = Hca_util.Vec.get t.fwd_via i in
-    t.dem_alus.(via) <- t.dem_alus.(via) - 1
-  done;
-  Hca_util.Vec.truncate t.fwd_val t.sp_fwd_len;
-  Hca_util.Vec.truncate t.fwd_via t.sp_fwd_len;
-  t.place.(t.sp_node) <- -1;
-  t.dem_alus.(t.sp_cluster) <- t.sp_dem_alus;
-  t.dem_ags.(t.sp_cluster) <- t.sp_dem_ags;
-  t.assigned <- t.assigned - 1;
-  t.carried_cuts <- t.sp_carried;
-  t.cache_ii <- t.sp_cache_ii;
-  Copy_flow.undo_to_mark t.flow t.sp_fmark;
-  t.sp_active <- false
+  let s = open_probe t "State.abort_force" in
+  rewind t s;
+  release_scratch s;
+  t.probe <- None
 
 let add_forward t ~value ~via =
   t.dem_alus.(via) <- t.dem_alus.(via) + 1;
@@ -880,10 +642,9 @@ let equal a b =
   && fwds_equal a b
   && Copy_flow.equal a.flow b.flow
 
-(* Test hook: {!equal} plus the derived structures (members, demand)
-   and the incremental-cost caches, so the trail property test can
-   assert a speculation round trip restores *every* field bit for
-   bit. *)
+(* Test hook: {!equal} plus the demand accumulators and the
+   incremental-cost caches, so the move-path property tests can assert
+   a rewind restores *every* field bit for bit. *)
 let debug_identical a b =
   equal a b
   && a.dem_alus = b.dem_alus

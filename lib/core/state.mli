@@ -3,8 +3,10 @@
 
     A state owns a placement map (problem node -> PG node), the copy
     flow routed so far, per-cluster demand accumulators, and the list of
-    detour forwards the Route Allocator has injected.  Moving from one
-    partial solution to another ({!try_assign}) clones the state, so
+    detour forwards the Route Allocator has injected.  Every move is
+    applied to the state's own undo trail and rewound, so a state must
+    not be moved from two domains at once; a successor ({!try_assign},
+    {!commit_probe}) is a copy taken while the move is applied, so
     siblings in the beam never alias. *)
 
 open Hca_ddg
@@ -21,6 +23,7 @@ val create : ?backbone:(Pattern_graph.node_id * Pattern_graph.node_id) list -> P
 val problem : t -> Problem.t
 
 val clone : t -> t
+(** @raise Invalid_argument when a {!probe_force} is in flight. *)
 
 (** {1 Placement} *)
 
@@ -44,32 +47,11 @@ val try_assign :
     none), and returns the successor state with its cost updated.
     [target_ii] is the II the objective function aims at — usually the
     kernel's iniMII, which may be below the capacity window when the
-    driver had to relax [ii] for feasibility.  The input state is not
-    modified. *)
-
-val speculate_assign :
-  t ->
-  node:int ->
-  cluster:Pattern_graph.node_id ->
-  ii:int ->
-  target_ii:int ->
-  weights:Cost.weights ->
-  (unit, string) result
-(** Trail-based twin of {!try_assign}: applies the same move with the
-    same checks and the same cost arithmetic to [t] itself, recording
-    an undo trail instead of cloning.  On [Ok ()] the move is left
-    applied — read {!cost}, {!free_issue_slots}, {!add_penalty} etc. to
-    score it — until {!undo_speculation} restores [t] bit for bit.  On
-    [Error] the state has already been rolled back.  At most one
-    speculation may be in flight per state, and a state with a
-    speculation in flight cannot be cloned.  The costs produced this
-    way are bit-identical to the clone-based {!try_assign} (property
-    tested), so the SEE can rank candidates speculatively and
-    materialise real clones only for the beam survivors. *)
-
-val undo_speculation : t -> unit
-(** Reverts the in-flight speculative move.
-    @raise Invalid_argument when none is in flight. *)
+    driver had to relax [ii] for feasibility.  Clone, then commit: the
+    move runs on [t]'s own undo trail, the moved state is copied and
+    re-scored incrementally, and [t] is rewound bit for bit.  The first
+    blocked arc fails the move with ["no communication pattern
+    src->dst"]. *)
 
 val score_moves :
   t ->
@@ -83,20 +65,17 @@ val score_moves :
   int
 (** Batched frontier scoring: evaluates the move of [node] to every
     cluster of [clusters] in one pass over the state's flat arrays,
-    reusing the preallocated speculation arena per candidate instead
-    of allocating an undo record each.  [scores.(k)] receives the
+    applying each move to [t]'s undo trail, scoring it and rewinding
+    under one pooled arena.  [scores.(k)] receives the
     {!cost} the state would have after the move to [clusters.(k)] —
     including the SEE's region-tear penalty for [tail_of_region]
     remaining region nodes — or [nan] when the move is infeasible
     (non-regular target, resource table exhausted, or no communication
-    pattern).  Returns the number of feasible moves.  The state is
-    restored bit for bit between candidates and before returning, and
-    each score is bit-identical to a
-    {!speculate_assign}/penalty/{!cost}/{!undo_speculation} probe of
-    the same move (property tested: the scoring arithmetic is shared,
-    not duplicated).
-    @raise Invalid_argument when a speculation is in flight or [node]
-    is already assigned. *)
+    pattern).  Returns the number of feasible moves.  Each score is
+    bit-identical to {!try_assign}'s cost plus that penalty (property
+    tested).  [t] comes back bit for bit, except that its per-cluster
+    cost cache is left warm at [target_ii] — a cache no view exposes.
+    @raise Invalid_argument when [node] is already assigned. *)
 
 val probe_force :
   t ->
@@ -105,46 +84,28 @@ val probe_force :
   ii:int ->
   ((Instr.id * Pattern_graph.node_id * Pattern_graph.node_id) list, string)
   result
-(** Trail-based feasibility twin of {!force_assign}: applies the move
-    and the direct-arc routing to [t] itself under a flow mark and
-    returns the same blocked triples the clone path would, without
-    cloning and without touching the cost caches.  On [Ok] the move is
-    left applied so the Route Allocator can detour the blocked values
-    on [t] ({!add_forward} / [Copy_flow.add_copy] route under the open
-    mark); {!abort_force} then rewinds everything — detour forwards
-    included — bit for bit.  On [Error] the state is untouched.  The
-    Route Allocator probes every attempt this way and replays only the
-    successful ones through {!force_assign}, so the ~80% of fallback
-    attempts with no feasible detour never pay a clone.
-    @raise Invalid_argument when a speculation is in flight. *)
+(** The Route Allocator's forced move: like {!try_assign}, but a direct
+    arc that cannot be added does not fail it — the blocked
+    [(value, src, dst)] triples are returned, in routing order, for the
+    Route Allocator to detour.  Resource exhaustion still fails, and
+    then [t] is untouched.  On [Ok] the move is left applied to [t] so
+    the detours can be routed on it ({!add_forward} /
+    [Copy_flow.add_copy] under the open mark); finish with
+    {!commit_probe} to keep the result and {!abort_force} to rewind.
+    @raise Invalid_argument when a probe is already in flight. *)
 
 val commit_probe : t -> target_ii:int -> weights:Cost.weights -> t
-(** Materialises a successful {!probe_force} as a fresh successor
-    state: copies the per-state structures exactly as they stand (move,
-    direct arcs and detours applied) and re-scores from scratch — the
-    same [recompute_cost] the Route Allocator's commit always ran, so
-    the result is bit-identical to replaying the attempt through
-    {!force_assign} on a clone.  [t] still carries the in-flight probe;
-    call {!abort_force} afterwards to rewind it (the snapshot shares
-    nothing mutable, so the rewind cannot disturb it).
+(** Materialises the in-flight {!probe_force} as a fresh successor
+    state: a copy of [t] exactly as it stands (move, direct arcs and
+    detours applied), re-scored from scratch with {!recompute_cost}.
+    [t] still carries the probe; call {!abort_force} afterwards (the
+    copy shares nothing mutable, so the rewind cannot disturb it).
     @raise Invalid_argument when no probe is in flight. *)
 
 val abort_force : t -> unit
-(** Rewinds an [Ok] {!probe_force}, including any detours routed since.
+(** Rewinds the in-flight {!probe_force}, detours included, bit for
+    bit.
     @raise Invalid_argument when none is in flight. *)
-
-val force_assign :
-  t ->
-  node:int ->
-  cluster:Pattern_graph.node_id ->
-  ii:int ->
-  (t * (Instr.id * Pattern_graph.node_id * Pattern_graph.node_id) list, string)
-  result
-(** Like {!try_assign} but a direct arc that cannot be added does not
-    fail the move: the blocked [(value, src, dst)] triples are returned
-    for the Route Allocator to detour.  Resource exhaustion still
-    fails.  The cost of the returned state is {e not} final until the
-    router commits or rejects the detours. *)
 
 val add_forward : t -> value:Instr.id -> via:Pattern_graph.node_id -> unit
 (** Route-Allocator hook: accounts one forwarding move (one ALU slot) on
@@ -201,12 +162,12 @@ val equal : t -> t -> bool
 
 val debug_identical : t -> t -> bool
 (** {!equal} plus every derived structure and incremental-cost cache —
-    the property-test oracle for speculation round trips. *)
+    the property-test oracle for move round trips. *)
 
 val recompute_cost : t -> target_ii:int -> weights:Cost.weights -> unit
 (** From-scratch reference: rebuilds every per-cluster cost
-    contribution and re-scores.  {!try_assign} instead refreshes only
-    the clusters a move touched; the two agree bit for bit (property
-    tested), the incremental path just skips the untouched clusters. *)
+    contribution and re-scores.  {!try_assign} and {!score_moves}
+    instead refresh only the clusters a move touched; the two agree bit
+    for bit (property tested). *)
 
 val pp : Format.formatter -> t -> unit

@@ -44,6 +44,8 @@ type t = {
 
 type mark = int
 
+let no_mark = -1
+
 let create ?(max_in_ports = max_int) pg =
   let n = Pattern_graph.size pg in
   let inport = Bytes.make n '\000' in
@@ -109,9 +111,7 @@ let pg t = t.pg
 (* Copy the mutable arc state as it stands — even mid-speculation: the
    value lists are immutable (sharing their tails is safe when the
    original later pops them on [undo_to_mark]), so the copy captures
-   the speculatively mutated flow with a fresh, markless trail.  The
-   Route Allocator commits a successful probe this way instead of
-   replaying it on a clone. *)
+   the speculatively mutated flow with a fresh, markless trail. *)
 let snapshot t =
   {
     t with
@@ -129,10 +129,6 @@ let snapshot t =
   (* [arc_of]/[arc_src]/[arc_dst]/[in_arcs]/[out_arcs]/[reserved]/
      [inport]/[max_in_of] are never mutated after setup, so sharing
      them is safe. *)
-
-let clone t =
-  if t.marks <> 0 then invalid_arg "Copy_flow.clone: speculation in flight";
-  snapshot t
 
 let arc_id t ~src ~dst =
   if src >= 0 && src < t.n && dst >= 0 && dst < t.n then

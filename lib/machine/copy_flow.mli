@@ -17,10 +17,10 @@
     state in flat arrays at those compact indices (a [src * n + dst]
     lookup table resolves a pair to its arc in O(1)); the speculation
     trail is a preallocated int arena, so the SEE's probe loop neither
-    chases nested arrays nor allocates per move.  Snapshots ({!clone})
-    copy the per-arc slots — not an [n * n] matrix — and the immutable
-    per-arc value lists stay shared; the beam search clones one per
-    beam survivor. *)
+    chases nested arrays nor allocates per move.  Snapshots
+    ({!snapshot}) copy the per-arc slots — not an [n * n] matrix — and
+    the immutable per-arc value lists stay shared; the beam search
+    takes one per beam survivor. *)
 
 open Hca_ddg
 
@@ -41,16 +41,14 @@ val reserve_neighbor : t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_
 
 val pg : t -> Pattern_graph.t
 
-val clone : t -> t
-
 val snapshot : t -> t
-(** Like {!clone} but allowed while a speculation mark is outstanding:
-    captures the flow exactly as it stands — speculative mutations
-    included — with a fresh trail and no marks.  Safe because the
-    per-arc value lists are immutable: the original popping them on
-    {!undo_to_mark} never disturbs the copy.  The Route Allocator
-    commits a successful in-place probe by snapshotting it, instead of
-    replaying the whole attempt on a clone. *)
+(** An independent copy of the flow exactly as it stands.  Legal while
+    a speculation mark is outstanding: the copy captures the mutations
+    made since the mark and starts with a fresh trail and no marks.
+    Safe because the per-arc value lists are immutable, so the original
+    popping them on {!undo_to_mark} never disturbs the copy.  A state
+    materialises a move this way: apply it on the trail, snapshot,
+    rewind. *)
 
 (** {1 Mutation} *)
 
@@ -100,7 +98,11 @@ val remove_copy :
     at the mark (the round trip is property-tested).  Marks nest
     LIFO. *)
 
-type mark
+type mark [@@immediate]
+
+val no_mark : mark
+(** Never returned by {!push_mark}: a placeholder for preallocated
+    slots. *)
 
 val push_mark : t -> mark
 (** Starts (or deepens) trail recording. *)

@@ -3,8 +3,11 @@ let magic = "HCA-MEMO-STORE"
 (* v2: cache keys switched from the dspfabric-only [Dspfabric.id] to
    the total [Machine_desc.id] (fan-outs, wiring and heterogeneous
    tables included), so stores written by v1 builds must not be
-   reused. *)
-let format_version = "v2"
+   reused.
+   v3: [State.t] (marshalled inside every memo entry) lost its
+   speculation fields when the move paths merged, so v2 entries no
+   longer match the record layout. *)
+let format_version = "v3"
 
 let default_stamp () = Hca_util.Stamp.store_stamp ~extra:format_version ()
 

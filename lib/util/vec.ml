@@ -3,11 +3,7 @@ type 'a t = {
   mutable len : int;
 }
 
-let create ?(capacity = 8) () =
-  { data = [||]; len = 0 }
-  |> fun v ->
-  ignore capacity;
-  v
+let create () = { data = [||]; len = 0 }
 
 let length v = v.len
 
@@ -52,16 +48,9 @@ let fold f acc v =
   done;
   !acc
 
-let clear v = v.len <- 0
-
 let truncate v n =
   if n < 0 || n > v.len then invalid_arg "Vec.truncate: bad length";
   v.len <- n
-
-let pop v =
-  if v.len = 0 then invalid_arg "Vec.pop: empty";
-  v.len <- v.len - 1;
-  v.data.(v.len)
 
 let copy v = { data = Array.copy v.data; len = v.len }
 
@@ -72,5 +61,3 @@ let of_array a = { data = Array.copy a; len = Array.length a }
 let exists p v =
   let rec loop i = i < v.len && (p v.data.(i) || loop (i + 1)) in
   loop 0
-
-let to_list v = Array.to_list (to_array v)

@@ -4,7 +4,7 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
+val create : unit -> 'a t
 
 val length : 'a t -> int
 
@@ -21,17 +21,9 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
-val clear : 'a t -> unit
-(** Drops every element (O(1); the backing store is retained, so a
-    cleared vector refills without reallocating). *)
-
 val truncate : 'a t -> int -> unit
 (** [truncate v n] drops every element past index [n-1].
     @raise Invalid_argument when [n] exceeds the current length. *)
-
-val pop : 'a t -> 'a
-(** Removes and returns the last element.
-    @raise Invalid_argument when empty. *)
 
 val copy : 'a t -> 'a t
 (** Independent copy; used when cloning owners of per-state vectors. *)
@@ -42,5 +34,3 @@ val to_array : 'a t -> 'a array
 val of_array : 'a array -> 'a t
 
 val exists : ('a -> bool) -> 'a t -> bool
-
-val to_list : 'a t -> 'a list

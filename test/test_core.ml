@@ -161,17 +161,25 @@ let test_state_comm_rejection () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "two in-neighbours with max_in 1"
 
-let test_state_force_assign_blocked () =
+let test_state_probe_force_blocked () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(diamond ()) ~pg:(complete4 ~max_in:1 ()) () in
   let st = State.create p in
   let st = Result.get_ok (State.try_assign st ~node:0 ~cluster:0 ~ii:8 ~target_ii:8 ~weights) in
   let st = Result.get_ok (State.try_assign st ~node:1 ~cluster:1 ~ii:8 ~target_ii:8 ~weights) in
   let st = Result.get_ok (State.try_assign st ~node:2 ~cluster:2 ~ii:8 ~target_ii:8 ~weights) in
-  match State.force_assign st ~node:3 ~cluster:3 ~ii:8 with
+  match State.probe_force st ~node:3 ~cluster:3 ~ii:8 with
   | Error e -> Alcotest.fail e
-  | Ok (st', blocked) ->
-      Alcotest.(check int) "one blocked arc" 1 (List.length blocked);
-      Alcotest.(check (option int)) "placed anyway" (Some 3) (State.placement st' 3)
+  | Ok blocked ->
+      (* b's arc 1->3 takes d's single in-neighbour slot; c's is left to
+         the Route Allocator. *)
+      Alcotest.(check (list (triple int int int)))
+        "c->d blocked"
+        [ ((Problem.node p 2).Problem.value, 2, 3) ]
+        blocked;
+      let st' = State.commit_probe st ~target_ii:8 ~weights in
+      State.abort_force st;
+      Alcotest.(check (option int)) "placed anyway" (Some 3) (State.placement st' 3);
+      Alcotest.(check (option int)) "input rewound" None (State.placement st 3)
 
 let test_state_penalty () =
   let _, st = mk_state () in
@@ -719,7 +727,7 @@ let () =
           Alcotest.test_case "cross cluster" `Quick test_state_cross_cluster_copy;
           Alcotest.test_case "resources" `Quick test_state_resource_rejection;
           Alcotest.test_case "communication" `Quick test_state_comm_rejection;
-          Alcotest.test_case "force assign" `Quick test_state_force_assign_blocked;
+          Alcotest.test_case "force assign" `Quick test_state_probe_force_blocked;
           Alcotest.test_case "penalty" `Quick test_state_penalty;
           Alcotest.test_case "summary" `Quick test_state_summary_pressure;
         ] );

@@ -152,10 +152,19 @@ let test_flow_reserved_backbone () =
 let test_flow_clone_isolation () =
   let flow = Copy_flow.create (complete4 ()) in
   Copy_flow.add_copy flow ~src:0 ~dst:1 1;
-  let copy = Copy_flow.clone flow in
+  let copy = Copy_flow.snapshot flow in
   Copy_flow.add_copy copy ~src:0 ~dst:1 2;
   Alcotest.(check int) "original untouched" 1 (Copy_flow.copy_count flow);
-  Alcotest.(check int) "clone grew" 2 (Copy_flow.copy_count copy)
+  Alcotest.(check int) "clone grew" 2 (Copy_flow.copy_count copy);
+  (* Mid-mark: the snapshot keeps the speculative copy after the
+     original rewinds it. *)
+  let mark = Copy_flow.push_mark flow in
+  Copy_flow.add_copy flow ~src:2 ~dst:3 7;
+  let mid = Copy_flow.snapshot flow in
+  Copy_flow.undo_to_mark flow mark;
+  Alcotest.(check (list int)) "rewound" [] (Copy_flow.copies flow ~src:2 ~dst:3);
+  Alcotest.(check (list int)) "snapshot kept it" [ 7 ]
+    (Copy_flow.copies mid ~src:2 ~dst:3)
 
 (* --- dspfabric -------------------------------------------------------- *)
 

@@ -3,8 +3,9 @@
    Everything here checks one contract: adding domains (or the
    incremental cache) never changes a result, only the wall clock.  The
    pool must preserve order and surface the sequential error; the top-k
-   filter must equal the sorted prefix it replaced; the incremental
-   cost must agree bit for bit with the from-scratch recompute; and the
+   filter must equal the sorted prefix it replaced; every move path of
+   [State] must rewind its input and agree bit for bit with the
+   from-scratch recompute and a blocked-arc reference; and the
    parallel portfolio/oracle drivers must reproduce their sequential
    runs field for field. *)
 
@@ -82,10 +83,13 @@ let prop_topk_matches_sorted_prefix =
       Hca_util.Topk.smallest ~k ~key l = reference)
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cost == from-scratch recompute                          *)
+(* The move path: incremental cost, rewinds and blocked arcs           *)
 (* ------------------------------------------------------------------ *)
 
-let synthetic_problem seed size =
+(* A complete 4-cluster PG whose in-neighbour budget [max_in] (1–3 in
+   the walks below) binds, so some moves find no communication
+   pattern. *)
+let synthetic_problem ~max_in seed size =
   let ddg =
     Hca_kernels.Synthetic.generate
       {
@@ -100,9 +104,95 @@ let synthetic_problem seed size =
   let pg =
     Pattern_graph.complete ~name:"inc-cost"
       ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
-      ~max_in:4
+      ~max_in
   in
   Problem.of_ddg ~name:"inc-cost" ~ddg ~pg ()
+
+(* Random walk committing one legal move per node, visiting the nodes
+   in a seeded permutation so consumers are often placed before their
+   producers.  Before each commit, [probe] sees the current state and a
+   pristine clone of it for each of the four clusters, two out-of-range
+   ids and a negative one, and returns false to fail the property.
+   Returns the verdict and the final state. *)
+let walk_with_probes ~seed ~size probe =
+  let rng = Hca_util.Prng.create (seed + 23) in
+  let problem = synthetic_problem ~max_in:(1 + Hca_util.Prng.int rng 3) seed size in
+  let order = Array.init (Problem.size problem) Fun.id in
+  Hca_util.Prng.shuffle rng order;
+  let ii = 8 and target_ii = 8 in
+  let weights = Cost.default_weights in
+  let st = ref (State.create problem) in
+  let ok = ref true in
+  Array.iter
+    (fun node ->
+      let pristine = State.clone !st in
+      List.iter
+        (fun cluster ->
+          if not (probe !st pristine ~node ~cluster ~ii ~target_ii ~weights)
+          then ok := false)
+        [ 0; 1; 2; 3; 4; 1000; -1 ];
+      let start = Hca_util.Prng.int rng 4 in
+      let rec try_from i =
+        if i < 4 then
+          match
+            State.try_assign !st ~node
+              ~cluster:((start + i) mod 4)
+              ~ii ~target_ii ~weights
+          with
+          | Ok st' -> st := st'
+          | Error _ -> try_from (i + 1)
+      in
+      try_from 0)
+    order;
+  (!ok, !st)
+
+let no_probe _ _ ~node:_ ~cluster:_ ~ii:_ ~target_ii:_ ~weights:_ = true
+
+(* The reference move, built only from public views: the
+   [isAssignable] verdict, then the blocked [(value, src, dst)] arcs of
+   routing preds then succs on a snapshot of the flow, and that flow. *)
+let reference_move st ~node ~cluster ~ii =
+  let p = State.problem st in
+  let pg = Problem.pg p in
+  if State.placement st node <> None then Error "node already assigned"
+  else if
+    cluster < 0
+    || cluster >= Pattern_graph.size pg
+    || not (Pattern_graph.is_regular pg cluster)
+  then Error "target is not a regular cluster"
+  else if
+    not
+      (Resource.fits
+         ~demand:
+           (Resource.add (State.demand st cluster)
+              (Problem.node p node).Problem.demand)
+         ~capacity:(Pattern_graph.node pg cluster).Pattern_graph.capacity
+         ~ii)
+  then Error "resource table exhausted under target II"
+  else begin
+    let flow = Copy_flow.snapshot (State.flow st) in
+    let where id = if id = node then Some cluster else State.placement st id in
+    let blocked = ref [] in
+    let route (e : Problem.edge) ~src ~dst =
+      match (src, dst) with
+      | Some src, Some dst when src <> dst ->
+          if Copy_flow.can_add flow ~src ~dst then
+            Copy_flow.add_copy flow ~src ~dst e.Problem.value
+          else blocked := (e.Problem.value, src, dst) :: !blocked
+      | _ -> ()
+    in
+    List.iter
+      (fun (e : Problem.edge) ->
+        route e ~src:(where e.Problem.src) ~dst:(Some cluster))
+      (Problem.preds p node);
+    List.iter
+      (fun (e : Problem.edge) ->
+        route e ~src:(Some cluster) ~dst:(where e.Problem.dst))
+      (Problem.succs p node);
+    Ok (List.rev !blocked, flow)
+  end
+
+let bits_equal a b = Int64.bits_of_float a = Int64.bits_of_float b
 
 let prop_incremental_cost_exact =
   QCheck.Test.make
@@ -110,84 +200,47 @@ let prop_incremental_cost_exact =
     ~count:60
     QCheck.(pair (int_range 0 1000) (int_range 6 16))
     (fun (seed, size) ->
-      let problem = synthetic_problem seed size in
-      let rng = Hca_util.Prng.create (seed + 17) in
-      let ii = 8 and target_ii = 8 in
-      let weights = Cost.default_weights in
-      (* Creation order is topological for the layered generator, so
-         producers are placed before their consumers, as in the SEE. *)
-      let st = ref (State.create problem) in
-      for node = 0 to Problem.size problem - 1 do
-        let start = Hca_util.Prng.int rng 4 in
-        let rec try_from i =
-          if i < 4 then
-            match
-              State.try_assign !st ~node
-                ~cluster:((start + i) mod 4)
-                ~ii ~target_ii ~weights
-            with
-            | Ok st' -> st := st'
-            | Error _ -> try_from (i + 1)
-        in
-        try_from 0
-      done;
-      let incremental = State.cost !st in
-      State.recompute_cost !st ~target_ii ~weights;
-      let from_scratch = State.cost !st in
-      incremental = from_scratch)
+      let _, st = walk_with_probes ~seed ~size no_probe in
+      let incremental = State.cost st in
+      State.recompute_cost st ~target_ii:8 ~weights:Cost.default_weights;
+      bits_equal incremental (State.cost st))
 
-(* ------------------------------------------------------------------ *)
-(* Speculative assignment == clone-based assignment                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Random walk committing one legal move per node; at every step each
-   cluster is probed first speculatively, so the probes run against
-   states of every depth.  [probe] sees the current state and a
-   pristine clone of it, and returns false to fail the property. *)
-let walk_with_probes ~seed ~size probe =
-  let problem = synthetic_problem seed size in
-  let rng = Hca_util.Prng.create (seed + 23) in
-  let ii = 8 and target_ii = 8 in
-  let weights = Cost.default_weights in
-  let st = ref (State.create problem) in
-  let ok = ref true in
-  for node = 0 to Problem.size problem - 1 do
-    let pristine = State.clone !st in
-    for cluster = 0 to 3 do
-      if not (probe !st pristine ~node ~cluster ~ii ~target_ii ~weights) then
-        ok := false
-    done;
-    let start = Hca_util.Prng.int rng 4 in
-    let rec try_from i =
-      if i < 4 then
-        match
-          State.try_assign !st ~node
-            ~cluster:((start + i) mod 4)
-            ~ii ~target_ii ~weights
-        with
-        | Ok st' -> st := st'
-        | Error _ -> try_from (i + 1)
-    in
-    try_from 0
-  done;
-  !ok
-
-let prop_speculation_roundtrip =
-  QCheck.Test.make
-    ~name:"speculate_assign + undo leaves the state bit-identical" ~count:40
+(* Every public move rewinds its input: [try_assign], a forced probe
+   with its detours routed then aborted, and a [score_moves] batch —
+   whose only lasting effect is the cost cache warmed at [target_ii],
+   which [State.summary] warms on the pristine clone too. *)
+let prop_moves_rewind =
+  QCheck.Test.make ~name:"every move path rewinds its input bit for bit"
+    ~count:40
     QCheck.(pair (int_range 0 1000) (int_range 6 16))
     (fun (seed, size) ->
-      walk_with_probes ~seed ~size
-        (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
-          let sig0 = State.signature st in
-          (match
-             State.speculate_assign st ~node ~cluster ~ii ~target_ii ~weights
-           with
-          | Ok () -> State.undo_speculation st
-          | Error _ -> () (* failed moves roll back on their own *));
-          State.debug_identical st pristine
-          && State.signature st = sig0
-          && State.signature st = State.signature pristine))
+      fst
+        (walk_with_probes ~seed ~size
+           (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
+             let sig0 = State.signature pristine in
+             let same () =
+               State.debug_identical st pristine && State.signature st = sig0
+             in
+             let scores = Array.make 1 nan in
+             ignore
+               (State.score_moves st ~node ~clusters:[| cluster |] ~ii
+                  ~target_ii ~weights ~tail_of_region:2 ~scores
+                 : int);
+             ignore (State.summary pristine ~ii:target_ii : Cost.summary);
+             let after_score = same () in
+             ignore (State.try_assign st ~node ~cluster ~ii ~target_ii ~weights);
+             let after_try = same () in
+             (match State.probe_force st ~node ~cluster ~ii with
+             | Error _ -> ()
+             | Ok blocked ->
+                 List.iter
+                   (fun (value, src, dst) ->
+                     ignore
+                       (Router.route_value st ~value ~src ~dst ~ii ~max_hops:2
+                         : bool))
+                   blocked;
+                 State.abort_force st);
+             after_score && after_try && same ())))
 
 let prop_speculative_cost_exact =
   QCheck.Test.make
@@ -195,117 +248,134 @@ let prop_speculative_cost_exact =
     ~count:40
     QCheck.(pair (int_range 0 1000) (int_range 6 16))
     (fun (seed, size) ->
-      walk_with_probes ~seed ~size
-        (fun st _pristine ~node ~cluster ~ii ~target_ii ~weights ->
-          let spec =
-            match
-              State.speculate_assign st ~node ~cluster ~ii ~target_ii ~weights
-            with
-            | Ok () ->
-                let c = State.cost st in
-                State.undo_speculation st;
-                Some c
-            | Error _ -> None
-          in
-          let cloned =
-            match
-              State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
-            with
-            | Ok st' -> Some (State.cost st')
-            | Error _ -> None
-          in
-          match (spec, cloned) with
-          | Some a, Some b -> Int64.bits_of_float a = Int64.bits_of_float b
-          | None, None -> true
-          | _ -> false))
+      fst
+        (walk_with_probes ~seed ~size
+           (fun st _pristine ~node ~cluster ~ii ~target_ii ~weights ->
+             let scores = Array.make 1 nan in
+             let feasible =
+               State.score_moves st ~node ~clusters:[| cluster |] ~ii
+                 ~target_ii ~weights ~tail_of_region:0 ~scores
+             in
+             match
+               State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
+             with
+             | Ok st' ->
+                 let reference = State.clone st' in
+                 State.recompute_cost reference ~target_ii ~weights;
+                 feasible = 1
+                 && bits_equal scores.(0) (State.cost st')
+                 && bits_equal (State.cost st') (State.cost reference)
+             | Error _ -> feasible = 0 && Float.is_nan scores.(0))))
 
-(* The SEE's batched frontier scoring against the per-candidate
-   speculate/penalise/undo loop it replaced: same feasibility verdicts,
-   bit-equal scores (region-tear penalty included), and the state comes
-   back bit-identical.  The candidate array deliberately carries a port
-   id and a far out-of-range id to pin the [nan] path. *)
+(* The SEE's batched scorer against the reference move: a candidate
+   scores iff the reference finds no blocked arc, its score is
+   [try_assign]'s cost plus the region-tear penalty bit for bit, and
+   [try_assign] fails with the reference's verdict — for a blocked move,
+   its first blocked arc. *)
 let prop_score_moves_exact =
   QCheck.Test.make
-    ~name:"score_moves = speculate/penalise/undo per candidate, bit for bit"
+    ~name:"score_moves = blocked-arc reference + try_assign/penalise, bit for bit"
     ~count:40
     QCheck.(triple (int_range 0 1000) (int_range 6 16) (int_range 1 6))
     (fun (seed, size, tail_of_region) ->
-      walk_with_probes ~seed ~size
-        (fun st pristine ~node ~cluster:_ ~ii ~target_ii ~weights ->
-          let clusters = [| 0; 1; 2; 3; 4; 1000 |] in
-          let scores = Array.make (Array.length clusters) nan in
-          let feasible =
-            State.score_moves st ~node ~clusters ~ii ~target_ii ~weights
-              ~tail_of_region ~scores
-          in
-          let expect_feasible = ref 0 in
-          let ok = ref (State.debug_identical st pristine) in
-          Array.iteri
-            (fun k cluster ->
-              let reference =
-                match
-                  State.speculate_assign st ~node ~cluster ~ii ~target_ii
-                    ~weights
-                with
-                | Ok () ->
-                    let deficit =
-                      tail_of_region - 1
-                      - State.free_issue_slots st ~cluster ~ii
-                    in
-                    if deficit > 0 then
-                      State.add_penalty st
-                        (weights.Cost.w_tear *. float_of_int deficit);
-                    let c = State.cost st in
-                    State.undo_speculation st;
-                    incr expect_feasible;
-                    Some c
-                | Error _ -> None
-              in
-              match reference with
-              | Some c ->
-                  if Int64.bits_of_float scores.(k) <> Int64.bits_of_float c
-                  then ok := false
-              | None -> if not (Float.is_nan scores.(k)) then ok := false)
-            clusters;
-          !ok && feasible = !expect_feasible))
+      fst
+        (walk_with_probes ~seed ~size
+           (fun st _pristine ~node ~cluster:_ ~ii ~target_ii ~weights ->
+             let clusters = [| 0; 1; 2; 3; 4; 1000; -1 |] in
+             let scores = Array.make (Array.length clusters) nan in
+             let feasible =
+               State.score_moves st ~node ~clusters ~ii ~target_ii ~weights
+                 ~tail_of_region ~scores
+             in
+             let expect_feasible = ref 0 in
+             let ok = ref true in
+             Array.iteri
+               (fun k cluster ->
+                 let verdict =
+                   State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
+                 in
+                 match (reference_move st ~node ~cluster ~ii, verdict) with
+                 | Ok ([], _), Ok st' ->
+                     incr expect_feasible;
+                     let deficit =
+                       tail_of_region - 1
+                       - State.free_issue_slots st' ~cluster ~ii
+                     in
+                     if deficit > 0 then
+                       State.add_penalty st'
+                         (weights.Cost.w_tear *. float_of_int deficit);
+                     if not (bits_equal scores.(k) (State.cost st')) then
+                       ok := false
+                 | Ok ((_, src, dst) :: _, _), Error e ->
+                     if
+                       e <> Printf.sprintf "no communication pattern %d->%d" src dst
+                       || not (Float.is_nan scores.(k))
+                     then ok := false
+                 | Error e, Error e' ->
+                     if e <> e' || not (Float.is_nan scores.(k)) then ok := false
+                 | _ -> ok := false)
+               clusters;
+             !ok && feasible = !expect_feasible)))
 
-(* ------------------------------------------------------------------ *)
-(* Route-Allocator probes == clone-based force_assign                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [probe_force]/[commit_probe]/[abort_force] against the retained
-   clone path: same error, same blocked triples, a committed snapshot
-   indistinguishable from the force_assign clone after its
-   [recompute_cost], and the probed state rewound bit for bit. *)
-let prop_probe_force_matches_clone_path =
+(* The Route Allocator's forced move against the reference move: the
+   same verdict and blocked triples; the committed copy carries the
+   reference flow and its from-scratch cost, and — with nothing blocked
+   — is identical to [try_assign]'s successor. *)
+let prop_probe_force_exact =
   QCheck.Test.make
-    ~name:"probe_force/commit/abort = force_assign on a clone" ~count:40
+    ~name:"probe_force/commit/abort = blocked-arc reference + recompute_cost"
+    ~count:40
     QCheck.(pair (int_range 0 1000) (int_range 6 16))
     (fun (seed, size) ->
-      walk_with_probes ~seed ~size
-        (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
-          match State.probe_force st ~node ~cluster ~ii with
-          | Error e -> (
-              State.debug_identical st pristine
-              &&
-              match State.force_assign st ~node ~cluster ~ii with
-              | Error e' -> e = e'
-              | Ok _ -> false)
-          | Ok blocked -> (
-              let committed =
-                State.commit_probe st ~target_ii ~weights
-              in
-              State.abort_force st;
-              State.debug_identical st pristine
-              && State.signature st = State.signature pristine
-              &&
-              match State.force_assign st ~node ~cluster ~ii with
-              | Error _ -> false
-              | Ok (t', blocked') ->
-                  State.recompute_cost t' ~target_ii ~weights;
-                  blocked = blocked'
-                  && State.debug_identical committed t'
-                  && State.signature committed = State.signature t')))
+      fst
+        (walk_with_probes ~seed ~size
+           (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
+             let reference = reference_move st ~node ~cluster ~ii in
+             match (State.probe_force st ~node ~cluster ~ii, reference) with
+             | Error e, Error e' -> e = e' && State.debug_identical st pristine
+             | Ok blocked, Ok (blocked', flow') ->
+                 let committed = State.commit_probe st ~target_ii ~weights in
+                 State.abort_force st;
+                 let rescored = State.clone committed in
+                 State.recompute_cost rescored ~target_ii ~weights;
+                 blocked = blocked'
+                 && Copy_flow.equal (State.flow committed) flow'
+                 && State.placement committed node = Some cluster
+                 && bits_equal (State.cost committed) (State.cost rescored)
+                 && State.debug_identical st pristine
+                 && (blocked <> []
+                    ||
+                    match
+                      State.try_assign st ~node ~cluster ~ii ~target_ii ~weights
+                    with
+                    | Ok st' -> State.debug_identical committed st'
+                    | Error _ -> false)
+             | Ok _, Error _ ->
+                 State.abort_force st;
+                 false
+             | Error _, Ok _ -> false)))
+
+(* The walks above only test the blocked-arc paths if some probes do
+   block: pin that on fixed seeds. *)
+let test_probes_block () =
+  let probes = ref 0 and blocking = ref 0 in
+  for seed = 0 to 19 do
+    ignore
+      (walk_with_probes ~seed ~size:12
+         (fun st _ ~node ~cluster ~ii ~target_ii:_ ~weights:_ ->
+           (match State.probe_force st ~node ~cluster ~ii with
+           | Ok blocked ->
+               incr probes;
+               if blocked <> [] then incr blocking;
+               State.abort_force st
+           | Error _ -> ());
+           true)
+        : bool * State.t)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d probes blocked" !blocking !probes)
+    true
+    (!blocking > 0 && !blocking < !probes)
 
 (* ------------------------------------------------------------------ *)
 (* Parallel drivers reproduce their sequential runs                    *)
@@ -407,10 +477,12 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_incremental_cost_exact ] );
       ( "speculation",
         [
-          QCheck_alcotest.to_alcotest prop_speculation_roundtrip;
+          QCheck_alcotest.to_alcotest prop_moves_rewind;
           QCheck_alcotest.to_alcotest prop_speculative_cost_exact;
           QCheck_alcotest.to_alcotest prop_score_moves_exact;
-          QCheck_alcotest.to_alcotest prop_probe_force_matches_clone_path;
+          QCheck_alcotest.to_alcotest prop_probe_force_exact;
+          Alcotest.test_case "fixed seeds: some probes block" `Quick
+            test_probes_block;
         ] );
       ( "drivers",
         [
