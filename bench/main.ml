@@ -827,6 +827,20 @@ let bechamel () =
                     (State.try_assign st ~node ~cluster:winner ~ii
                        ~target_ii:ii ~weights)));
          ]);
+      (* Affinity-region growing, which orders every SEE call and
+         colours every set-level Mapper call. *)
+      Test.make ~name:"regions"
+        (Staged.stage
+           (let p =
+              Problem.of_ddg ~name:"bench-regions"
+                ~ddg:(Hca_kernels.H264deblock.ddg ())
+                ~pg:
+                  (Pattern_graph.complete ~name:"bench-regions"
+                     ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
+                     ~max_in:4)
+                ()
+            in
+            fun () -> ignore (Regions.partition p ~capacity:64)));
       Test.make ~name:"sched/modulo-fir2dim"
         (Staged.stage
            (let ddg = Hca_kernels.Fir2dim.ddg () in

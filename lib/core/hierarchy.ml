@@ -51,6 +51,9 @@ let create_stats () =
 
 type key = {
   k_kernel : string;
+  k_content : int;
+      (* [Ddg.content_id]: names are labels, and two different kernels
+         may share one (the daemon's 32-bit content labels can collide) *)
   k_machine : string;
   k_level : int;
   k_path : int list;
@@ -161,6 +164,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
         let key =
           {
             k_kernel = Ddg.name ddg;
+            k_content = Ddg.content_id ddg;
             (* Total identity: the cache may outlive this run and meet
                fabrics [Dspfabric.name] cannot tell apart (same N/M/K,
                different fan-outs or port counts). *)

@@ -65,11 +65,10 @@ type cache
 
 val create_cache : unit -> cache
 (** Safe to share across domains, II probes, kernels and machines: the
-    key embeds the kernel name, the total {!Dspfabric.id}, the II
-    window and the configuration, so unrelated requests can pool one
-    cache without colliding.  (Callers feeding kernels from outside the
-    fixed registry must make the kernel {e name} pin the graph — see
-    {!Ddg.with_name}.) *)
+    key embeds the kernel name and {!Ddg.content_id}, the total
+    {!Dspfabric.id}, the II window and the configuration, so unrelated
+    requests can pool one cache without colliding, even when two
+    different kernels share a name. *)
 
 type snapshot
 (** The cache's payload detached from its locks: plain data, safe to

@@ -12,7 +12,10 @@ val partition : Problem.t -> capacity:int -> int array
     node ([-1] for pinned port nodes).  Each region holds at most
     [capacity] nodes.  Regions are numbered in discovery order, seeds
     being picked by decreasing criticality, so lower-numbered regions
-    tend to hold the earlier/denser dataflow.
+    tend to hold the earlier/denser dataflow.  A region grows by the
+    unassigned node with the largest summed affinity to its members
+    (ties to the smaller id) until that sum falls below 2 or the region
+    is full.
 
     Affinity between two free nodes counts their direct dependences,
     plus a strong bonus for feeding the same output port (they must end

@@ -7,6 +7,7 @@ type edge = {
 
 type t = {
   name : string;
+  content_id : int;
   instrs : Instr.t array;
   edges : edge array;
   succs : edge list array;
@@ -31,6 +32,27 @@ let acyclic_intra n succs =
     if !ok && state.(u) = 0 then visit u
   done;
   !ok
+
+(* 62-bit FNV signature of everything but the graph name: each
+   instruction's opcode and name, then each edge, in id and insertion
+   order. *)
+let content_id instrs edges =
+  let h = Hca_util.Sig_hash.create () in
+  Hca_util.Sig_hash.add_int h (Array.length instrs);
+  Array.iter
+    (fun (i : Instr.t) ->
+      Hca_util.Sig_hash.add_string h (Opcode.mnemonic i.Instr.opcode);
+      Hca_util.Sig_hash.add_string h i.Instr.name)
+    instrs;
+  Hca_util.Sig_hash.add_int h (Array.length edges);
+  Array.iter
+    (fun e ->
+      Hca_util.Sig_hash.add_int h e.src;
+      Hca_util.Sig_hash.add_int h e.dst;
+      Hca_util.Sig_hash.add_int h e.latency;
+      Hca_util.Sig_hash.add_int h e.distance)
+    edges;
+  Hca_util.Sig_hash.value h
 
 module Builder = struct
   type graph = t
@@ -85,12 +107,21 @@ module Builder = struct
     Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
     if not (acyclic_intra n succs) then
       invalid_arg "Ddg.Builder.freeze: intra-iteration dependence cycle";
-    { name = b.bname; instrs; edges; succs; preds }
+    {
+      name = b.bname;
+      content_id = content_id instrs edges;
+      instrs;
+      edges;
+      succs;
+      preds;
+    }
 end
 
 let name g = g.name
 
 let with_name g name = { g with name }
+
+let content_id g = g.content_id
 
 let size g = Array.length g.instrs
 

@@ -52,9 +52,17 @@ end
 val name : t -> string
 
 val with_name : t -> string -> t
-(** Same graph under a different name.  The compile service names
-    client-supplied kernels by a content digest, so a cross-request
-    memo key can trust the name to pin the graph. *)
+(** Same graph under a different name, with the same {!content_id}.
+    The name is a label only: two different graphs may carry one name,
+    so anything keyed on a graph's identity must use {!content_id}. *)
+
+val content_id : t -> int
+(** A 62-bit signature of the graph's content, fixed by
+    {!Builder.freeze}: every instruction's opcode and name and every
+    edge's endpoints, latency and distance, in order.  The graph name
+    is not part of it.  Equal content always gives equal ids; the
+    subproblem memo keys on it so that differently shaped kernels
+    sharing a name never share entries. *)
 
 val size : t -> int
 (** Number of instructions. *)

@@ -242,9 +242,10 @@ let inject t ~label ?priority ?deadline_s ?(trace = false) work =
 (* ------------------------------------------------------------------ *)
 (* Kernel-source resolution                                            *)
 
-(* Cache keys embed the kernel {e name}, so any kernel that is not a
-   registry entry must be named by its content: two different inline
-   graphs both called "k" must never alias in the shared store. *)
+(* Kernels that are not registry entries are labelled by a 32-bit
+   digest of their text, so that replies, logs and loadtest rows name
+   them stably.  Labels can collide; the memo keys on
+   [Ddg.content_id], never on the label alone. *)
 let content_name prefix ddg =
   let h = Hca_util.Sig_hash.create () in
   Hca_util.Sig_hash.add_string h (Ddg_io.to_string ddg);

@@ -6,8 +6,10 @@ let magic = "HCA-MEMO-STORE"
    reused.
    v3: [State.t] (marshalled inside every memo entry) lost its
    speculation fields when the move paths merged, so v2 entries no
-   longer match the record layout. *)
-let format_version = "v3"
+   longer match the record layout.
+   v4: memo keys carry [Ddg.content_id] beside the kernel name, and
+   [Ddg.t] (inside every entry) gained the id field. *)
+let format_version = "v4"
 
 let default_stamp () = Hca_util.Stamp.store_stamp ~extra:format_version ()
 

@@ -380,6 +380,63 @@ let test_regions_separate_columns () =
   Alcotest.(check int) "chain 1 together" region.(a1) region.(c1);
   Alcotest.(check bool) "chains apart" true (region.(a0) <> region.(a1))
 
+(* The gain-counter growth must return the reference twin's regions
+   exactly: the region arrays order the SEE and colour the Mapper's
+   wires, so any drift (a flipped tie-break, a stale gain) changes
+   placements. *)
+let partition_matches_ref p ~capacity =
+  Regions.partition p ~capacity = Regions_ref.partition p ~capacity
+
+(* Child problems of a solved hierarchy carry in- and out-ports, so the
+   port affinities get exercised too. *)
+let prop_partition_matches_ref =
+  QCheck.Test.make ~name:"Regions.partition = reference on hierarchy problems"
+    ~count:40 (QCheck.int_range 0 10_000)
+    (fun seed ->
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      let r = Report.run Dspfabric.reference ddg in
+      QCheck.assume (r.Report.result <> None);
+      List.for_all
+        (fun (sub : Hierarchy.subresult) ->
+          let p = sub.Hierarchy.problem in
+          let n = Problem.size p in
+          List.for_all
+            (fun capacity -> partition_matches_ref p ~capacity)
+            [ 1; 2; 7; n; n + 1 ])
+        (Hierarchy.subresults (Option.get r.Report.result)))
+
+let prop_partition_ddg_matches_ref =
+  QCheck.Test.make ~name:"Regions.partition_ddg = reference on member subsets"
+    ~count:200
+    QCheck.(triple (int_range 0 10_000) (int_range 0 10_000) (int_range 1 30))
+    (fun (seed, pick, capacity) ->
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      let n = Ddg.size ddg in
+      let rng = Random.State.make [| pick |] in
+      let members =
+        List.filter (fun _ -> Random.State.bool rng) (List.init n Fun.id)
+      in
+      let got = Regions.partition_ddg ddg ~members ~capacity in
+      let want = Regions_ref.partition_ddg ddg ~members ~capacity in
+      List.for_all (fun g -> got g = want g) (List.init (n + 2) (fun g -> g - 1)))
+
+let test_regions_match_ref_kernels () =
+  List.iter
+    (fun (name, build) ->
+      let p =
+        Problem.of_ddg ~name ~ddg:(build ())
+          ~pg:(complete4 ~cap:(r 16 16) ~max_in:8 ())
+          ()
+      in
+      List.iter
+        (fun capacity ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s at capacity %d" name capacity)
+            true
+            (partition_matches_ref p ~capacity))
+        [ 4; 16; 64; 256 ])
+    Hca_kernels.Registry.extended
+
 (* --- mapper / ili ------------------------------------------------------- *)
 
 let solved_diamond () =
@@ -696,6 +753,26 @@ let test_hierarchy_leaf_of_path () =
       Alcotest.(check bool) "root" true (Hierarchy.leaf_of_path res [] <> None);
       Alcotest.(check bool) "bad path" true (Hierarchy.leaf_of_path res [ 9 ] = None)
 
+(* A kernel's name is only a label: two different 12-instruction
+   kernels both called "k" share the root working set and the II
+   window, so a memo keyed on the name would serve the second one the
+   first one's subtrees. *)
+let test_memo_keys_on_content () =
+  let knobs =
+    { Hca_gen.Gen.default_ddg_knobs with min_size = 12; max_size = 12 }
+  in
+  let cache = Hierarchy.create_cache () in
+  List.iter
+    (fun seed ->
+      let ddg = Ddg.with_name (Hca_gen.Gen.ddg ~knobs ~seed ()) "k" in
+      let shared = Report.run ~cache Dspfabric.reference ddg in
+      let alone = Report.run Dspfabric.reference ddg in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d through the shared cache" seed)
+        (Report.invariant_string alone)
+        (Report.invariant_string shared))
+    [ 22911; 66550 ]
+
 let test_hierarchy_counts_consistent () =
   match Hierarchy.solve small_fabric (diamond ()) ~ii:4 with
   | Error e -> Alcotest.fail e
@@ -750,6 +827,10 @@ let () =
           Alcotest.test_case "coverage" `Quick test_regions_cover_free_nodes;
           Alcotest.test_case "capacity" `Quick test_regions_capacity;
           Alcotest.test_case "separation" `Quick test_regions_separate_columns;
+          Alcotest.test_case "registry kernels = reference" `Quick
+            test_regions_match_ref_kernels;
+          QCheck_alcotest.to_alcotest prop_partition_matches_ref;
+          QCheck_alcotest.to_alcotest prop_partition_ddg_matches_ref;
         ] );
       ( "mapper",
         [
@@ -785,6 +866,8 @@ let () =
           Alcotest.test_case "leaf_of_path" `Quick test_hierarchy_leaf_of_path;
           Alcotest.test_case "count consistency" `Quick
             test_hierarchy_counts_consistent;
+          Alcotest.test_case "memo keys on content" `Quick
+            test_memo_keys_on_content;
         ] );
     ]
 

@@ -120,6 +120,35 @@ let test_induced_rejects_duplicates () =
   Alcotest.check_raises "dup" (Invalid_argument "Ddg.induced: duplicate id")
     (fun () -> ignore (Ddg.induced g [ 1; 1 ]))
 
+(* The content id ignores the graph name and nothing else: every
+   opcode, instruction name, endpoint, latency and distance moves it. *)
+let test_content_id () =
+  let build ?(opcode = Opcode.Add) ?(name = "x") ?(latency = 1)
+      ?(distance = 0) () =
+    let b = Ddg.Builder.create ~name:"g" () in
+    let a = Ddg.Builder.add_instr b Opcode.Add in
+    let c = Ddg.Builder.add_instr b ~name opcode in
+    Ddg.Builder.add_dep b ~latency ~src:a ~dst:c;
+    if distance > 0 then Ddg.Builder.add_dep b ~distance ~src:c ~dst:a;
+    Ddg.content_id (Ddg.Builder.freeze b)
+  in
+  let base = build () in
+  Alcotest.(check int) "rebuilt" base (build ());
+  let g = chain 4 in
+  Alcotest.(check int) "renamed" (Ddg.content_id g)
+    (Ddg.content_id (Ddg.with_name g "other"));
+  Alcotest.(check int) "text round trip" (Ddg.content_id g)
+    (Ddg.content_id (Result.get_ok (Ddg_io.of_string (Ddg_io.to_string g))));
+  List.iter
+    (fun (what, id) -> Alcotest.(check bool) what true (id <> base))
+    [
+      ("opcode", build ~opcode:Opcode.Sub ());
+      ("constant", build ~opcode:(Opcode.Const 3) ());
+      ("instruction name", build ~name:"y" ());
+      ("latency", build ~latency:2 ());
+      ("distance", build ~distance:1 ());
+    ]
+
 let test_memory_ops_count () =
   let b = Ddg.Builder.create () in
   let a = Ddg.Builder.add_instr b Opcode.Agen in
@@ -361,6 +390,7 @@ let () =
           Alcotest.test_case "induced" `Quick test_induced_subgraph;
           Alcotest.test_case "induced dup" `Quick test_induced_rejects_duplicates;
           Alcotest.test_case "memory ops" `Quick test_memory_ops_count;
+          Alcotest.test_case "content id" `Quick test_content_id;
         ] );
       ( "graph-algo",
         [

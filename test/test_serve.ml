@@ -332,6 +332,96 @@ let run_one t line =
   ignore (Jobq.wait (Daemon.jobq t) id);
   ok_json (Daemon.result_line t id)
 
+(* Two different kernels whose 32-bit display labels collide (both
+   serve as [inline-#ebc839ae]), found by a birthday search over random
+   12-instruction graphs.  Served one after the other through one
+   memo, each must still get the answer a local run gives. *)
+let colliding_texts =
+  [
+    {|ddg k
+i 0 const:74 %0
+i 1 sub %1
+i 2 sub %2
+i 3 store %3
+i 4 load %4
+i 5 abs %5
+i 6 const:217 %6
+i 7 add %7
+i 8 const:130 %8
+i 9 mov %9
+i 10 sub %10
+i 11 shl %11
+e 0 1 1 0
+e 0 2 1 0
+e 2 3 1 0
+e 1 3 1 0
+e 0 4 1 0
+e 1 5 1 0
+e 4 5 3 0
+e 6 7 1 0
+e 4 9 3 0
+e 3 9 1 0
+e 9 10 1 0
+e 2 10 1 0
+e 1 11 1 0
+e 7 11 1 0
+e 4 1 3 2
+e 1 1 1 1
+|};
+    {|ddg k
+i 0 const:244 %0
+i 1 max %1
+i 2 max %2
+i 3 store %3
+i 4 xor %4
+i 5 mov %5
+i 6 store %6
+i 7 sub %7
+i 8 const:181 %8
+i 9 max %9
+i 10 load %10
+i 11 load %11
+e 0 1 1 0
+e 0 1 1 0
+e 0 2 1 0
+e 0 3 1 0
+e 2 3 1 0
+e 2 4 1 0
+e 2 4 1 0
+e 1 5 1 0
+e 3 5 1 0
+e 1 6 1 0
+e 5 6 1 0
+e 6 7 1 0
+e 3 7 1 0
+e 4 9 1 0
+e 6 10 1 0
+e 9 11 1 0
+e 3 1 1 2
+e 6 4 1 2
+|};
+  ]
+
+let test_daemon_label_collision () =
+  let t = Daemon.create () in
+  List.iter
+    (fun text ->
+      let line =
+        Json.to_string
+          (Json.Obj [ ("verb", Json.Str "submit"); ("ddg", Json.Str text) ])
+      in
+      let r = run_one t line in
+      Alcotest.(check string) "colliding label" "inline-#ebc839ae"
+        (jstr r "kernel");
+      let local =
+        Hca_core.Report.run ~jobs:1 Hca_machine.Dspfabric.reference
+          (Result.get_ok (Hca_ddg.Ddg_io.of_string text))
+      in
+      Alcotest.(check string) "served = local"
+        (Hca_core.Report.invariant_string local)
+        (jstr r "invariant"))
+    colliding_texts
+
 let test_daemon_machine_desc () =
   let t = Daemon.create () in
   (* An inline [.machine] description carries the whole topology —
@@ -647,6 +737,8 @@ let () =
             test_daemon_deadline_expired_row;
           Alcotest.test_case "inline content naming" `Quick
             test_daemon_inline_content_named;
+          Alcotest.test_case "colliding labels served apart" `Quick
+            test_daemon_label_collision;
           Alcotest.test_case "inline machine description" `Quick
             test_daemon_machine_desc;
         ] );
