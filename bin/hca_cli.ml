@@ -526,18 +526,18 @@ let dot_cmd =
     Term.(const run $ kernel_arg $ fabric_term $ assigned)
 
 let explain_cmd =
-  let run (name, f) fabric config ii =
+  let run (name, f) fabric config =
     ignore name;
-    let ddg = f () in
-    let ii =
-      match ii with
-      | Some ii -> ii
-      | None -> Mii.mii ddg (Dspfabric.resources fabric)
-    in
-    match Hierarchy.solve ~config fabric ddg ~ii with
-    | Error e -> Format.printf "II=%d failed: %s@." ii e
-    | Ok res ->
-        Format.printf "II=%d solved; per-subproblem breakdown:@." ii;
+    let report = Report.run ~config fabric (f ()) in
+    match report.Report.result with
+    | None ->
+        prerr_endline
+          ("clusterisation failed: "
+          ^ Option.value ~default:"no feasible II" report.Report.error);
+        exit 1
+    | Some res ->
+        Format.printf "II=%d solved; per-subproblem breakdown:@."
+          report.Report.ii_used;
         List.iter
           (fun (sub : Hierarchy.subresult) ->
             let flow = State.flow sub.Hierarchy.state in
@@ -559,59 +559,14 @@ let explain_cmd =
               (List.length (Hca_machine.Pattern_graph.out_ports pg))
               sub.Hierarchy.mapres.Mapper.max_wire_load)
           (Hierarchy.subresults res);
-        let m = Metrics.of_result res in
-        Format.printf "%a legal=%b@." Metrics.pp m (Coherency.is_legal res)
-  in
-  let ii_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ii" ] ~docv:"II" ~doc:"Fixed II (default: iniMII).")
-  in
-  Cmd.v (Cmd.info "explain" ~doc:"Per-subproblem breakdown of one HCA pass")
-    Term.(const run $ kernel_arg $ fabric_term $ config_term $ ii_arg)
-
-let level0_cmd =
-  let run (name, f) fabric config ii =
-    ignore name;
-    let ddg = f () in
-    let ii =
-      match ii with
-      | Some ii -> ii
-      | None -> Mii.mii ddg (Dspfabric.resources fabric)
-    in
-    let view = Dspfabric.level_view fabric ~level:0 in
-    let pg =
-      Hca_machine.Pattern_graph.complete ~name:"level0"
-        ~capacities:(Dspfabric.child_capacities fabric ~path:[])
-        ~max_in:view.Dspfabric.mux_capacity
-    in
-    let problem = Problem.of_ddg ~name:"level0" ~ddg ~pg () in
-    match See.solve ~config problem ~ii with
-    | Error e -> Format.printf "level0 failed: %s@." e
-    | Ok outcome ->
-        let st = outcome.See.state in
-        let flow = State.flow st in
-        Format.printf "ws:";
-        List.iter
-          (fun (nd : Hca_machine.Pattern_graph.node) ->
-            Format.printf " %d" (List.length (State.cluster_nodes st nd.id)))
-          (Hca_machine.Pattern_graph.regular_nodes pg);
-        Format.printf "@.arcs:@.";
-        List.iter
-          (fun (src, dst, vs) ->
-            Format.printf "  %d -> %d : %d values@." src dst (List.length vs))
-          (Hca_machine.Copy_flow.arcs flow);
-        Format.printf "total copies: %d@."
-          (Hca_machine.Copy_flow.copy_count flow)
-  in
-  let ii_arg =
-    Arg.(
-      value & opt (some int) None
-      & info [ "ii" ] ~docv:"II" ~doc:"Fixed II (default: iniMII).")
+        Format.printf "%a legal=%b@." Metrics.pp (Metrics.of_result res)
+          report.Report.legal;
+        if not report.Report.legal then exit 1
   in
   Cmd.v
-    (Cmd.info "level0" ~doc:"Solve and dump only the level-0 subproblem")
-    Term.(const run $ kernel_arg $ fabric_term $ config_term $ ii_arg)
+    (Cmd.info "explain"
+       ~doc:"Per-subproblem breakdown of the assignment $(b,hca run) picks")
+    Term.(const run $ kernel_arg $ fabric_term $ config_term)
 
 let topology_cmd =
   let run (name, f) fabric config =
@@ -1298,4 +1253,4 @@ let () =
     Cmd.info "hca" ~version:"1.0.0"
       ~doc:"Hierarchical Cluster Assignment for DSPFabric (IPPS 2007 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; table1_cmd; dse_cmd; dot_cmd; explain_cmd; level0_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; table1_cmd; dse_cmd; dot_cmd; explain_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))

@@ -4,10 +4,9 @@ open Hca_machine
 type subresult = {
   path : int list;
   problem : Problem.t;
-  outcome : See.outcome;
   state : State.t;
-      (* the committed solution: [outcome.state] or one of its
-         alternatives when inter-level backtracking stepped in *)
+      (* the committed solution: the SEE's best state, or one of its
+         beam alternatives when inter-level backtracking stepped in *)
   mapres : Mapper.result;
   children : subresult option array;
 }
@@ -345,7 +344,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
       in
       let children = Array.make view.Dspfabric.children None in
       if view.Dspfabric.is_leaf then
-        Ok { path; problem; outcome; state = st; mapres; children }
+        Ok { path; problem; state = st; mapres; children }
       else begin
         let ws_of_child = Array.make view.Dspfabric.children [] in
         Array.iter
@@ -370,7 +369,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
               spawn (i + 1)
         in
         let* () = spawn 0 in
-        Ok { path; problem; outcome; state = st; mapres; children }
+        Ok { path; problem; state = st; mapres; children }
       end
     in
     (* Inter-level backtracking: when the best partial solution's

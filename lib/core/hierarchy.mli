@@ -14,11 +14,12 @@ open Hca_machine
 type subresult = {
   path : int list;  (** nesting indexes, [[]] for the root problem *)
   problem : Problem.t;
-  outcome : See.outcome;
   state : State.t;
-      (** the committed solution — [outcome.state], or one of its beam
-          alternatives when a child subproblem of the best state proved
-          infeasible and the driver backtracked *)
+      (** the committed solution — the SEE's best state, or one of its
+          beam alternatives when a child subproblem of the best state
+          proved infeasible and the driver backtracked.  The rest of the
+          beam is not kept: it is only needed while this subproblem is
+          being committed. *)
   mapres : Mapper.result;
   children : subresult option array;
       (** one slot per PG regular node; [None] when nothing was assigned

@@ -317,8 +317,6 @@ let map ?(consolidate = false) ?(wire_cap = max_int)
       map_traced ~consolidate ~wire_cap ~color ~problem ~state ~in_capacity
         ~out_capacity)
 
-let wire_pressure_ii r = max 1 r.max_wire_load
-
 let pp_result ppf r =
   Format.fprintf ppf "@[<v>%a@,max wire load: %d@]" Machine_model.pp r.model
     r.max_wire_load

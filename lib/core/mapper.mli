@@ -52,8 +52,4 @@ val map :
     then retries at a larger II or reports the architecture as too
     narrow, which is exactly the §5 bandwidth-degradation effect. *)
 
-val wire_pressure_ii : result -> int
-(** Smallest II compatible with the heaviest wire (one value per wire
-    per cycle). *)
-
 val pp_result : Format.formatter -> result -> unit

@@ -379,9 +379,6 @@ let depth t =
 
 let scc_of t = t.scc
 
-let total_demand t =
-  Array.fold_left (fun acc n -> Resource.add acc n.demand) Resource.zero t.nodes
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>problem %s: %d nodes (%d free), %d edges on %s"
     t.name (size t)

@@ -106,6 +106,4 @@ val scc_of : t -> int array
     both the cost function and the region clustering treat circuit
     edges as high-affinity. *)
 
-val total_demand : t -> Resource.t
-
 val pp : Format.formatter -> t -> unit

@@ -159,30 +159,6 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
      rank candidates, not clones: the cost was computed on the trail,
      so losing candidates never pay an allocation. *)
   let best_k_cand k cands = Hca_util.Topk.smallest ~k ~key:cand_cost cands in
-  (* Transposition dedup: the beam never carries two identical states.
-     Duplicates must agree on the (bit-exact) cost, so only tied
-     entries ever pay the signature + structural comparison. *)
-  let dedup states =
-    match states with
-    | [] | [ _ ] -> states
-    | _ ->
-        let tagged =
-          List.map (fun st -> (st, lazy (State.signature st))) states
-        in
-        let keep (st, s) kept =
-          not
-            (List.exists
-               (fun (prev, ps) ->
-                 State.cost prev = State.cost st
-                 && Lazy.force ps = Lazy.force s
-                 && State.equal prev st)
-               kept)
-        in
-        List.rev_map fst
-          (List.fold_left
-             (fun kept x -> if keep x kept then x :: kept else kept)
-             [] tagged)
-  in
   let rec loop pos frontier = function
     | [] -> (
         match List.sort by_cost frontier with
@@ -257,15 +233,14 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
                  (Hca_machine.Pattern_graph.max_in pg)
                  diagnosis)
         | _ ->
+            (* The beam needs no duplicate filter: children come from
+               distinct (parent, cluster) pairs of an already distinct
+               frontier, placement only grows, and forwards and
+               penalties only accumulate (property tested). *)
             let winners = best_k_cand config.Config.beam_width children in
-            let materialised =
-              List.map (materialise ~tail_of_region node) winners
-            in
-            let frontier' = dedup materialised in
-            if Hca_obs.Obs.enabled () then
-              Hca_obs.Obs.count "see.dedup_killed"
-                (List.length materialised - List.length frontier');
-            loop (pos + 1) frontier' rest)
+            loop (pos + 1)
+              (List.map (materialise ~tail_of_region node) winners)
+              rest)
   in
   loop 0 [ State.create ~backbone problem ] order
 

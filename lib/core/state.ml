@@ -132,8 +132,6 @@ let placement t id = if t.place.(id) < 0 then None else Some t.place.(id)
 
 let is_complete t = t.assigned = Problem.size t.problem
 
-let assigned_count t = t.assigned
-
 let flow t = t.flow
 
 (* The accumulators stop at the last regular id; ports past the end
@@ -601,24 +599,6 @@ let add_forward t ~value ~via =
   t.cache_ii <- -1;
   ignore (Hca_util.Vec.push t.fwd_val value : int);
   ignore (Hca_util.Vec.push t.fwd_via via : int)
-
-(* Transposition signature: everything that makes two partial solutions
-   behave identically downstream — placement, routed flow, forwards,
-   carried cuts and the (bit-exact) cost terms. *)
-let signature t =
-  let h = Hca_util.Sig_hash.create () in
-  Hca_util.Sig_hash.add_int h t.assigned;
-  Hca_util.Sig_hash.add_int h t.carried_cuts;
-  Hca_util.Sig_hash.add_float h t.fl.(0);
-  Hca_util.Sig_hash.add_float h t.fl.(1);
-  Hca_util.Sig_hash.add_int_array h t.place;
-  Copy_flow.hash_into t.flow h;
-  (* Newest first, the order of the forwards list this replaced. *)
-  for i = Hca_util.Vec.length t.fwd_val - 1 downto 0 do
-    Hca_util.Sig_hash.add_int h (Hca_util.Vec.get t.fwd_val i);
-    Hca_util.Sig_hash.add_int h (Hca_util.Vec.get t.fwd_via i)
-  done;
-  Hca_util.Sig_hash.value h
 
 let fwds_equal a b =
   let n = Hca_util.Vec.length a.fwd_val in

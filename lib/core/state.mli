@@ -31,8 +31,6 @@ val placement : t -> int -> Pattern_graph.node_id option
 
 val is_complete : t -> bool
 
-val assigned_count : t -> int
-
 val try_assign :
   t ->
   node:int ->
@@ -149,16 +147,11 @@ val add_penalty : t -> float -> unit
 val free_issue_slots : t -> cluster:Pattern_graph.node_id -> ii:int -> int
 (** Remaining issue capacity of a cluster under the window [ii]. *)
 
-val signature : t -> int
-(** Transposition signature over placement, flow, forwards and the
-    bit-exact cost terms: two states with different signatures are
-    guaranteed different; equal signatures are confirmed with {!equal}
-    before the SEE drops a beam entry as a duplicate. *)
-
 val equal : t -> t -> bool
 (** Structural identity of two partial solutions: same placement, same
     routed flow, same forwards, same carried cuts and bit-equal cost
-    terms. *)
+    terms.  A test reference: the property suite uses it to check that
+    the SEE's final beam holds no two identical states. *)
 
 val debug_identical : t -> t -> bool
 (** {!equal} plus every derived structure and incremental-cost cache —

@@ -141,8 +141,6 @@ let preds g id =
   if id < 0 || id >= size g then invalid_arg "Ddg.preds: bad id";
   g.preds.(id)
 
-let fold_instrs f g acc = Array.fold_left (fun acc i -> f i acc) acc g.instrs
-
 let iter_edges f g = Array.iter f g.edges
 
 let count g p =

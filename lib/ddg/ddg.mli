@@ -79,8 +79,6 @@ val succs : t -> Instr.id -> edge list
 
 val preds : t -> Instr.id -> edge list
 
-val fold_instrs : (Instr.t -> 'a -> 'a) -> t -> 'a -> 'a
-
 val iter_edges : (edge -> unit) -> t -> unit
 
 val count : t -> (Instr.t -> bool) -> int

@@ -15,8 +15,5 @@ type t = {
 val make : id:id -> ?name:string -> Opcode.t -> t
 (** Defaults [name] to ["%<id>"]. *)
 
-val equal : t -> t -> bool
-(** Identity equality (by [id]). *)
-
 val pp : Format.formatter -> t -> unit
 (** Prints as [%id:name=opcode]. *)

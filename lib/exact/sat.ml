@@ -134,15 +134,11 @@ let decisions t = t.n_decisions
 
 let propagations t = t.n_props
 
-let learnt_live t = t.n_live_learnt
-
 let learnt_total t = t.n_learnt_total
 
 let deleted_total t = t.n_deleted_total
 
 let reused_hits t = t.n_reused
-
-let probe_id t = t.probe
 
 let new_probe t = t.probe <- t.probe + 1
 

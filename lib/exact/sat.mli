@@ -90,9 +90,6 @@ val decisions : t -> int
 val propagations : t -> int
 (** Literals enqueued by unit propagation. *)
 
-val learnt_live : t -> int
-(** Learnt clauses currently in the database. *)
-
 val learnt_total : t -> int
 (** Clauses learned since [create] (deleted ones included). *)
 
@@ -102,8 +99,6 @@ val deleted_total : t -> int
 val reused_hits : t -> int
 (** Propagations/conflicts fired by learnt clauses born in an earlier
     probe epoch — the clause-reuse payoff across {!new_probe} calls. *)
-
-val probe_id : t -> int
 
 val fold_problem_clauses : t -> ('a -> int list -> 'a) -> 'a -> 'a
 (** Folds over the stored problem (non-learnt) clauses as DIMACS

@@ -61,7 +61,7 @@ let create ?(max_in_ports = max_int) pg =
   let srcs = ref [] and dsts = ref [] and n_arcs = ref 0 in
   (* Compact ids ascend with the flat index, so iterating arcs
      0..n_arcs-1 is the (src, dst)-lexicographic matrix walk the
-     signature and equality orders rely on. *)
+     equality and [arcs] orders rely on. *)
   for src = 0 to n - 1 do
     for dst = 0 to n - 1 do
       if Pattern_graph.is_potential pg ~src ~dst then begin
@@ -138,9 +138,6 @@ let arc_id t ~src ~dst =
 let copies t ~src ~dst =
   match arc_id t ~src ~dst with -1 -> [] | a -> List.rev t.values.(a)
 
-let is_real t ~src ~dst =
-  match arc_id t ~src ~dst with -1 -> false | a -> t.values.(a) <> []
-
 let real_in_neighbors t id =
   let arcs = t.in_arcs.(id) in
   let acc = ref [] in
@@ -158,11 +155,6 @@ let real_out_neighbors t id =
     if t.values.(a) <> [] then acc := t.arc_dst.(a) :: !acc
   done;
   !acc
-
-let used_in_ports t =
-  Pattern_graph.in_ports t.pg
-  |> List.filter_map (fun (nd : Pattern_graph.node) ->
-         if t.out_deg.(nd.id) > 0 then Some nd.id else None)
 
 let used_in_ports_count t = t.used_ports
 
@@ -301,20 +293,6 @@ let equal a b =
    with Exit -> ());
   !ok
 
-let hash_into t h =
-  Hca_util.Sig_hash.add_int h t.total;
-  Hca_util.Sig_hash.add_int h t.used_ports;
-  (* Compact-id ascending = (src, dst) lexicographic, the order the
-     matrix walk used before the layout went sparse. *)
-  for a = 0 to Array.length t.values - 1 do
-    match t.values.(a) with
-    | [] -> ()
-    | vs ->
-        Hca_util.Sig_hash.add_int h t.arc_src.(a);
-        Hca_util.Sig_hash.add_int h t.arc_dst.(a);
-        Hca_util.Sig_hash.add_int_list h vs
-  done
-
 let arcs t =
   let acc = ref [] in
   for a = Array.length t.values - 1 downto 0 do
@@ -324,9 +302,6 @@ let arcs t =
   !acc
 
 let copy_count t = t.total
-
-let max_arc_pressure t =
-  Array.fold_left (fun acc vs -> max acc (List.length vs)) 0 t.values
 
 let in_pressure t id = t.in_pres.(id)
 

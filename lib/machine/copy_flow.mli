@@ -118,16 +118,10 @@ val equal : t -> t -> bool
     value matrix, so they are not compared beyond the cheap O(1)
     prefilters. *)
 
-val hash_into : t -> Hca_util.Sig_hash.t -> unit
-(** Folds the real arcs (ascending [(src, dst)], values in stack order)
-    into a signature: part of the SEE's transposition key. *)
-
 (** {1 Queries} *)
 
 val copies : t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> Instr.id list
 (** Values on the arc, in insertion order. *)
-
-val is_real : t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> bool
 
 val real_in_neighbors : t -> Pattern_graph.node_id -> Pattern_graph.node_id list
 
@@ -139,20 +133,13 @@ val arcs : t -> (Pattern_graph.node_id * Pattern_graph.node_id * Instr.id list) 
 val copy_count : t -> int
 (** Total value-hops routed. *)
 
-val used_in_ports : t -> Pattern_graph.node_id list
-(** Input ports with at least one outgoing copy. *)
-
 val used_in_ports_count : t -> int
-(** [List.length (used_in_ports t)] in O(1): the flow maintains its
-    aggregate counters incrementally so the cost function's per-move
-    queries never re-walk the copy matrix. *)
+(** Input ports with at least one outgoing copy, in O(1): the flow
+    maintains its aggregate counters incrementally so the cost
+    function's per-move queries never re-walk the copy matrix. *)
 
 val real_in_count : t -> Pattern_graph.node_id -> int
 (** [List.length (real_in_neighbors t id)] in O(1). *)
-
-val max_arc_pressure : t -> int
-(** Largest number of values on a single real arc — the copy-pressure
-    term of the cluster MII. *)
 
 val in_pressure : t -> Pattern_graph.node_id -> int
 (** Values entering a node: each needs a receive slot. *)

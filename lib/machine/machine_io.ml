@@ -172,12 +172,6 @@ let of_string text =
     | exception Invalid_argument e -> Error e
   with Fail e -> Error e
 
-let write_file path m =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_string m))
-
 let read_file path =
   match
     let ic = open_in path in

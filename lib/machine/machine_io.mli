@@ -22,6 +22,4 @@ val to_string : Machine_desc.t -> string
 val of_string : string -> (Machine_desc.t, string) result
 (** Error message carries the offending line number. *)
 
-val write_file : string -> Machine_desc.t -> unit
-
 val read_file : string -> (Machine_desc.t, string) result

@@ -143,10 +143,6 @@ let port_values nd =
   | Regular -> []
   | In_port { values; _ } | Out_port { values; _ } -> values
 
-let total_capacity t =
-  Array.fold_left (fun acc nd -> Resource.add acc nd.capacity) Resource.zero
-    t.nodes
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>pg %s (%d nodes, max_in=%d)" t.name (size t) t.max_in;
   Array.iter

@@ -91,6 +91,4 @@ val is_regular : t -> node_id -> bool
 val port_values : node -> Instr.id list
 (** Values held by a special node ([[]] for regular nodes). *)
 
-val total_capacity : t -> Resource.t
-
 val pp : Format.formatter -> t -> unit

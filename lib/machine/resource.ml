@@ -30,9 +30,6 @@ let fits ~demand ~capacity ~ii =
   && demand.ags <= capacity.ags * ii
   && demand.alus + demand.ags <= issue_slots capacity * ii
 
-let headroom ~demand ~capacity ~ii =
-  ((capacity.alus * ii) - demand.alus) + ((capacity.ags * ii) - demand.ags)
-
 let ceil_div a b = (a + b - 1) / b
 
 let min_ii ~demand ~capacity =

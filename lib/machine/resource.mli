@@ -38,9 +38,6 @@ val fits : demand:t -> capacity:t -> ii:int -> bool
     the [ii]-cycle window {e and} the total operation count fits the
     issue slots ([issue_slots capacity * ii]). *)
 
-val headroom : demand:t -> capacity:t -> ii:int -> int
-(** Remaining ALU+AG issue slots under [ii]; negative when overfull. *)
-
 val min_ii : demand:t -> capacity:t -> int
 (** Smallest [ii] making [fits] true ([max_int] if capacity is zero in a
     demanded class). *)

@@ -211,9 +211,6 @@ let state t id = Option.map (fun j -> j.jstate) (find t id)
 
 let label t id = Option.map (fun j -> j.label) (find t id)
 
-let report t id =
-  match state t id with Some (Finished (Solved r)) -> Some r | _ -> None
-
 let cancel t id =
   let poke, r =
     locked t @@ fun () ->

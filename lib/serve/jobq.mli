@@ -91,9 +91,6 @@ val state : t -> int -> state option
 
 val label : t -> int -> string option
 
-val report : t -> int -> Hca_core.Report.t option
-(** The report of a [Finished (Solved _)] job. *)
-
 val cancel : t -> int -> (unit, string) result
 (** Only [Queued] jobs are cancellable; the error says which state got
     in the way. *)

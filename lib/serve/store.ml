@@ -8,8 +8,10 @@ let magic = "HCA-MEMO-STORE"
    speculation fields when the move paths merged, so v2 entries no
    longer match the record layout.
    v4: memo keys carry [Ddg.content_id] beside the kernel name, and
-   [Ddg.t] (inside every entry) gained the id field. *)
-let format_version = "v4"
+   [Ddg.t] (inside every entry) gained the id field.
+   v5: [Hierarchy.subresult] lost [outcome], the SEE's final beam that
+   every entry used to carry beside its committed state. *)
+let format_version = "v5"
 
 let default_stamp () = Hca_util.Stamp.store_stamp ~extra:format_version ()
 

@@ -11,8 +11,6 @@ let create width =
   if width < 0 then invalid_arg "Bitset.create: negative width";
   { width; bits = Bytes.make ((width + 7) lsr 3) '\000' }
 
-let length t = t.width
-
 let check t i =
   if i < 0 || i >= t.width then invalid_arg "Bitset: index out of bounds"
 

@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create width] is the empty set over [0 .. width-1]. *)
 
-val length : t -> int
-(** The fixed width. *)
-
 val set : t -> int -> unit
 
 val clear : t -> int -> unit

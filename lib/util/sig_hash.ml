@@ -1,8 +1,8 @@
 (* FNV-1a over machine words.  OCaml native ints wrap on overflow, so
    the running product stays a well-defined 63-bit mix on every
    platform; the fold order is part of the signature, which is exactly
-   what the callers want (placement arrays and flow matrices are
-   compared in a canonical iteration order). *)
+   what the callers want (instructions, edges and placements are
+   hashed in a canonical iteration order). *)
 
 type t = { mutable h : int }
 
@@ -17,14 +17,6 @@ let add_int t x =
   t.h <- (t.h lxor (x land 0xffffffff)) * prime;
   t.h <- (t.h lxor ((x lsr 32) land 0x7fffffff)) * prime
 
-let add_bool t b = add_int t (if b then 1 else 0)
-
-let add_float t f = add_int t (Int64.to_int (Int64.bits_of_float f))
-
-let add_int_list t l =
-  add_int t (List.length l);
-  List.iter (fun x -> add_int t x) l
-
 let add_int_array t a =
   add_int t (Array.length a);
   Array.iter (fun x -> add_int t x) a
@@ -37,5 +29,6 @@ let value t = t.h land max_int
 
 let ints l =
   let t = create () in
-  add_int_list t l;
+  add_int t (List.length l);
+  List.iter (fun x -> add_int t x) l;
   value t

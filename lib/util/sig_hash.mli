@@ -1,25 +1,16 @@
 (** Incremental FNV-1a signature hashing over machine words.
 
-    Used to fingerprint search states (placement + copy flow) for the
-    SEE's transposition dedup and to canonicalise subproblem memo keys.
-    A signature is a plain [int]: equal structures always hash equal,
-    so a hash mismatch proves two structures differ; a hash match is
-    confirmed by a structural comparison before anything is dropped. *)
+    Fingerprints kernel content ([Ddg.content_id], the daemon's content
+    labels) and committed placements ([Report.invariant_string]).  A
+    signature is a plain [int]: equal structures always hash equal, so
+    a hash mismatch proves two structures differ; a match alone proves
+    nothing. *)
 
 type t
 
 val create : ?seed:int -> unit -> t
 
 val add_int : t -> int -> unit
-
-val add_bool : t -> bool -> unit
-
-val add_float : t -> float -> unit
-(** Hashes the IEEE bit pattern, so signatures distinguish exactly the
-    floats that bit-identical search results distinguish. *)
-
-val add_int_list : t -> int list -> unit
-(** Length-prefixed, so [[1];[2]] and [[1;2]] never collide. *)
 
 val add_int_array : t -> int array -> unit
 
@@ -32,4 +23,5 @@ val value : t -> int
 (** The accumulated signature, non-negative. *)
 
 val ints : int list -> int
-(** One-shot convenience: signature of an int list. *)
+(** One-shot signature of an int list, length-prefixed so [[1];[2]]
+    and [[1;2]] never collide. *)

@@ -1,13 +1,14 @@
 (* The multicore runtime and the incremental cost path.
 
-   Everything here checks one contract: adding domains (or the
+   Most of this file checks one contract: adding domains (or the
    incremental cache) never changes a result, only the wall clock.  The
    pool must preserve order and surface the sequential error; the top-k
    filter must equal the sorted prefix it replaced; every move path of
    [State] must rewind its input and agree bit for bit with the
    from-scratch recompute and a blocked-arc reference; and the
    parallel portfolio/oracle drivers must reproduce their sequential
-   runs field for field. *)
+   runs field for field.  One more property guards the SEE itself: its
+   final beam never holds two equal states. *)
 
 open Hca_machine
 open Hca_core
@@ -217,10 +218,7 @@ let prop_moves_rewind =
       fst
         (walk_with_probes ~seed ~size
            (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
-             let sig0 = State.signature pristine in
-             let same () =
-               State.debug_identical st pristine && State.signature st = sig0
-             in
+             let same () = State.debug_identical st pristine in
              let scores = Array.make 1 nan in
              ignore
                (State.score_moves st ~node ~clusters:[| cluster |] ~ii
@@ -378,6 +376,48 @@ let test_probes_block () =
     (!blocking > 0 && !blocking < !probes)
 
 (* ------------------------------------------------------------------ *)
+(* The SEE's beam                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The SEE keeps no transposition table: children come from distinct
+   (parent, cluster) pairs of an already distinct frontier, so the final
+   beam of every subproblem the hierarchy solves holds pairwise
+   different states.  Each kernel is checked on the deep reference
+   fabric and on a small generated one with narrower MUXes; the
+   comparison count keeps the property from passing vacuously. *)
+let prop_beam_distinct =
+  QCheck.Test.make ~name:"SEE final beam holds no two equal states" ~count:40
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      let pairs = ref 0 in
+      let rec distinct = function
+        | [] -> true
+        | st :: rest ->
+            pairs := !pairs + List.length rest;
+            List.for_all (fun st' -> not (State.equal st st')) rest
+            && distinct rest
+      in
+      let beams_distinct fabric =
+        let report = Report.run fabric ddg in
+        match report.Report.result with
+        | None -> true
+        | Some res ->
+            List.for_all
+              (fun (sub : Hierarchy.subresult) ->
+                match
+                  See.solve ~target_ii:report.Report.ini_mii
+                    sub.Hierarchy.problem ~ii:report.Report.ii_used
+                with
+                | Error _ -> true
+                | Ok o -> distinct (o.See.state :: o.See.alternatives))
+              (Hierarchy.subresults res)
+      in
+      beams_distinct Dspfabric.reference
+      && beams_distinct (Hca_gen.Gen.fabric ~seed ())
+      && !pairs > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Parallel drivers reproduce their sequential runs                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -484,6 +524,7 @@ let () =
           Alcotest.test_case "fixed seeds: some probes block" `Quick
             test_probes_block;
         ] );
+      ("see", [ QCheck_alcotest.to_alcotest prop_beam_distinct ]);
       ( "drivers",
         [
           Alcotest.test_case "report jobs invariant" `Quick
