@@ -11,30 +11,16 @@
      bench/main.exe optgap          -- HCA vs the exact SAT oracle (lib/exact)
      bench/main.exe sched           -- modulo scheduling on top of HCA (future work)
      bench/main.exe ablation        -- design-choice ablations (DESIGN.md §6)
-     bench/main.exe bechamel        -- wall-clock micro benchmarks (Bechamel)
 
    The global flag --json switches the per-kernel experiments (table1,
    fig_scaling, extended, optgap) to newline-delimited JSON records on
-   stdout — one object per kernel with at least "kernel", "final_mii",
-   "copies" and "runtime_s" — so the bench trajectory can be tracked
-   across PRs by machines instead of eyeballs.
-
-   The global flag --profile turns the lib/obs tracer on around each
-   kernel of those experiments and appends per-phase wall-clock columns
-   (phase_probe_s, phase_see_s, phase_mapper_s, phase_router_s,
-   phase_oracle_s, spec_applies) to every JSON row; kernel-axis
-   parallelism drops to 1 so the attribution window brackets exactly one
-   kernel.  Every row also carries "config_hash" and "git" so results
-   can be tied back to the code state that produced them.
-
-   The global flag --telemetry arms the production observability stack
-   (the lib/obs flight-recorder ring, exactly what `hca serve` runs
-   with) around the experiments WITHOUT renaming them — rows stay
-   comparable row-for-row with a plain run, which is how CI's
-   telemetry-overhead gate measures the cost of leaving the recorder
-   on: same experiment/kernel keys, bit-identical quality fields, only
-   runtime_s may move (and bench_guard --overhead-budget bounds by how
-   much).
+   stdout — one object per kernel with at least "kernel", "final_mii"
+   and "copies", plus the "config_hash" and "git" stamps — so the
+   quality trajectory can be tracked across PRs by machines instead of
+   eyeballs.  The rows carry no timings: one wall-clock sample cannot
+   tell a change from noise, so speed is measured by perf/hcabench in
+   alternating pairs (scripts/perf_pair.sh).  The text tables keep
+   their time columns, which display the §7 claim.
 
    The global flag --jobs N (default: Domain.recommended_domain_count)
    sizes the domain pool: table1 fans out the portfolio configurations,
@@ -53,10 +39,6 @@ open Hca_core
 let reference = Dspfabric.reference
 
 let json_mode = ref false
-
-let profile_mode = ref false
-
-let telemetry_mode = ref false
 
 let jobs = ref (Hca_util.Domain_pool.default_jobs ())
 
@@ -94,45 +76,9 @@ let jopt_int = Option.fold ~none:Json.Null ~some:jint
 
 let jfloat = Json.fixed 6
 
-(* Allocation-churn columns, appended to every NDJSON row built from a
-   [Report.t]: the flat-layout work is judged on these as much as on the
-   wall clock.  Meaningful at [--jobs 1] (the counters are per-domain). *)
-let alloc_fields (r : Report.t) =
-  [
-    ("alloc_mb", jfloat r.Report.alloc_mb);
-    ("minor_gcs", jint r.Report.minor_gcs);
-  ]
-
 let left h = (h, Hca_util.Tabular.Left)
 
 let right h = (h, Hca_util.Tabular.Right)
-
-(* Per-kernel phase attribution under --profile: reset the tracer, run
-   one kernel's work, and summarise what accumulated.  The window
-   brackets a single kernel, so any inner parallelism (the portfolio or
-   oracle fan-out) is fully contained in it and every domain's buffer
-   merges into the same summary.  Experiments that fan out over kernels
-   must iterate them sequentially in profile mode for the attribution to
-   hold — they drop to [~jobs:1] on the kernel axis when profiling. *)
-let profiled f =
-  if not !profile_mode then (f (), [])
-  else begin
-    Hca_obs.Obs.reset ();
-    Hca_obs.Obs.enable ();
-    let v = Fun.protect ~finally:Hca_obs.Obs.disable f in
-    let s = Hca_obs.Obs.Summary.collect () in
-    let phase col name = (col, jfloat (Hca_obs.Obs.Summary.phase_s s name)) in
-    ( v,
-      [
-        phase "phase_probe_s" "report.probe";
-        phase "phase_see_s" "see.solve";
-        phase "phase_mapper_s" "mapper.map";
-        phase "phase_router_s" "router.route";
-        phase "phase_oracle_s" "oracle.run";
-        ( "spec_applies",
-          jint (Hca_obs.Obs.Summary.counter s "state.spec_apply") );
-      ] )
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: HCA test on four multimedia application loops.             *)
@@ -155,27 +101,23 @@ let table1 () =
       (* One portfolio sweep per kernel: the "default" entry doubles as
          the plain [Report.run] row, so the default configuration is
          searched once, not twice. *)
-      let reports, phases =
-        profiled (fun () -> Portfolio.run_all ~jobs:!jobs reference ddg)
-      in
+      let reports = Portfolio.run_all ~jobs:!jobs reference ddg in
       let r = List.assoc "default" reports in
       let best, _ = Portfolio.best_of reports in
       let optimum = Hca_baseline.Unified.mii ddg reference in
       if !json_mode then
         emit_json ~experiment:"table1" ~kernel:name
-          ([
-             ("n_instr", jint r.Report.n_instr);
-             ("legal", Json.Bool r.Report.legal);
-             ("final_mii", jopt_int r.Report.final_mii);
-             ("portfolio_mii", jopt_int best.Report.final_mii);
-             ("unified_mii", jint optimum);
-             ("copies", jint r.Report.copies);
-             ("runtime_s", jfloat r.Report.runtime_s);
-             ("cache_hits", jint r.Report.cache_hits);
-             ("cache_misses", jint r.Report.cache_misses);
-             ("reused_subproblems", jint r.Report.reused_subproblems);
-           ]
-          @ alloc_fields r @ phases)
+          [
+            ("n_instr", jint r.Report.n_instr);
+            ("legal", Json.Bool r.Report.legal);
+            ("final_mii", jopt_int r.Report.final_mii);
+            ("portfolio_mii", jopt_int best.Report.final_mii);
+            ("unified_mii", jint optimum);
+            ("copies", jint r.Report.copies);
+            ("cache_hits", jint r.Report.cache_hits);
+            ("cache_misses", jint r.Report.cache_misses);
+            ("reused_subproblems", jint r.Report.reused_subproblems);
+          ]
       else
         Hca_util.Tabular.add_row t
           [
@@ -241,24 +183,15 @@ let fig_scaling () =
   in
   let rows =
     (* Independent kernels fan out; the row list comes back in registry
-       order, so the table reads the same at every --jobs.  Profile mode
-       walks the kernels sequentially so each [profiled] window captures
-       exactly one kernel. *)
-    Hca_util.Domain_pool.parallel_map
-      ~jobs:(if !profile_mode then 1 else !jobs)
+       order, so the table reads the same at every --jobs. *)
+    Hca_util.Domain_pool.parallel_map ~jobs:!jobs
       (fun (name, f) ->
         let ddg = f () in
-        let (hca, flat), phases =
-          profiled (fun () ->
-              let hca = Report.run reference ddg in
-              let flat = Hca_baseline.Flat_ica.run reference ddg in
-              (hca, flat))
-        in
-        (name, hca, flat, phases))
+        (name, Report.run reference ddg, Hca_baseline.Flat_ica.run reference ddg))
       Hca_kernels.Registry.all
   in
   List.iter
-    (fun (name, hca, flat, phases) ->
+    (fun (name, hca, flat) ->
       let violations =
         match flat.Hca_baseline.Flat_ica.outcome with
         | Some o ->
@@ -267,19 +200,16 @@ let fig_scaling () =
       in
       if !json_mode then
         emit_json ~experiment:"fig_scaling" ~kernel:name
-          ([
-             ("final_mii", jopt_int hca.Report.final_mii);
-             ("copies", jint hca.Report.copies);
-             ("runtime_s", jfloat hca.Report.runtime_s);
-             ("hca_states", jint hca.Report.explored_states);
-             ("cache_hits", jint hca.Report.cache_hits);
-             ("cache_misses", jint hca.Report.cache_misses);
-             ("reused_subproblems", jint hca.Report.reused_subproblems);
-             ("flat_states", jint flat.Hca_baseline.Flat_ica.explored);
-             ("flat_runtime_s", jfloat flat.Hca_baseline.Flat_ica.runtime_s);
-             ("flat_mux_violations", jopt_int violations);
-           ]
-          @ alloc_fields hca @ phases)
+          [
+            ("final_mii", jopt_int hca.Report.final_mii);
+            ("copies", jint hca.Report.copies);
+            ("hca_states", jint hca.Report.explored_states);
+            ("cache_hits", jint hca.Report.cache_hits);
+            ("cache_misses", jint hca.Report.cache_misses);
+            ("reused_subproblems", jint hca.Report.reused_subproblems);
+            ("flat_states", jint flat.Hca_baseline.Flat_ica.explored);
+            ("flat_mux_violations", jopt_int violations);
+          ]
       else
         Hca_util.Tabular.add_row t
           [
@@ -320,38 +250,23 @@ let fig_rcp () =
       List.iter
         (fun ports ->
           let rcp = Rcp.make ~in_ports:ports () in
-          let pg = Rcp.pattern_graph rcp in
-          let ddg = f () in
-          let problem = Problem.of_ddg ~name:(name ^ ".rcp") ~ddg ~pg () in
-          let rec climb ii =
-            if ii > 64 then None
-            else
-              match See.solve problem ~ii with
-              | Ok o -> Some (ii, o)
-              | Error _ -> climb (ii + 1)
-          in
-          match climb (Mii.rec_mii ddg) with
-          | None ->
+          match Rcp_driver.solve rcp (f ()) with
+          | Error _ ->
               Hca_util.Tabular.add_row t
                 [ name; string_of_int ports; "no"; "-"; "-"; "-" ]
-          | Some (ii, o) ->
-              let flow = State.flow o.See.state in
-              let max_in =
-                List.fold_left
-                  (fun acc (nd : Pattern_graph.node) ->
-                    max acc
-                      (List.length (Copy_flow.real_in_neighbors flow nd.id)))
-                  0
-                  (Pattern_graph.regular_nodes pg)
-              in
+          | Ok r ->
+              let in_degree = Array.make (Rcp.clusters rcp) 0 in
+              List.iter
+                (fun (_, dst) -> in_degree.(dst) <- in_degree.(dst) + 1)
+                r.Rcp_driver.topology;
               Hca_util.Tabular.add_row t
                 [
                   name;
                   string_of_int ports;
                   "yes";
-                  string_of_int ii;
-                  string_of_int (Copy_flow.copy_count flow);
-                  string_of_int max_in;
+                  string_of_int r.Rcp_driver.ii;
+                  string_of_int r.Rcp_driver.copies;
+                  string_of_int (Array.fold_left max 0 in_degree);
                 ])
         [ 4; 2; 1 ])
     kernels;
@@ -524,21 +439,13 @@ let optgap () =
         | Some b -> b
         | None -> if n <= 24 then 10. else 5.
       in
-      let (hca, oracle), phases =
-        profiled (fun () ->
-            let hca = Report.run fabric ddg in
-            (* Seed the oracle's downward walk with the heuristic's
-               result: in relaxed mode the incumbent is feasible by
-               construction, so the budget is spent tightening the
-               bound, not rediscovering a model. *)
-            let incumbent =
-              if hca.Report.legal then hca.Report.final_mii else None
-            in
-            let oracle =
-              Hca_exact.Oracle.run ~budget_s ?incumbent fabric ddg
-            in
-            (hca, oracle))
-      in
+      let hca = Report.run fabric ddg in
+      (* Seed the oracle's downward walk with the heuristic's result: in
+         relaxed mode the incumbent is feasible by construction, so the
+         budget is spent tightening the bound, not rediscovering a
+         model. *)
+      let incumbent = if hca.Report.legal then hca.Report.final_mii else None in
+      let oracle = Hca_exact.Oracle.run ~budget_s ?incumbent fabric ddg in
       let gap =
         match (hca.Report.final_mii, hca.Report.legal) with
         | Some achieved, true ->
@@ -556,27 +463,22 @@ let optgap () =
       in
       if !json_mode then
         emit_json ~experiment:"optgap" ~kernel:name
-          ([
-             ("n_instr", jint n);
-             ("hca_final_mii", jopt_int hca.Report.final_mii);
-             ("hca_legal", Json.Bool hca.Report.legal);
-             ("hca_cache_hits", jint hca.Report.cache_hits);
-             ("status", Json.Str (Hca_exact.Oracle.status_to_string oracle.Hca_exact.Oracle.status));
-             ("final_mii", jopt_int oracle.Hca_exact.Oracle.final_mii);
-             ("lower_bound", jint oracle.Hca_exact.Oracle.lower_bound);
-             ("copies", jint oracle.Hca_exact.Oracle.copies);
-             ( "gap",
-               Option.fold ~none:Json.Null ~some:jfloat gap );
-             ("sat_conflicts", jint oracle.Hca_exact.Oracle.explored);
-             ("sat_propagations", jint oracle.Hca_exact.Oracle.propagations);
-             ("sat_learnt", jint oracle.Hca_exact.Oracle.learnt_total);
-             ("sat_reused_hits", jint oracle.Hca_exact.Oracle.reused_hits);
-             ("sat_probes", jint (List.length oracle.Hca_exact.Oracle.probes));
-             ("oracle_alloc_mb", jfloat oracle.Hca_exact.Oracle.alloc_mb);
-             ("oracle_minor_gcs", jint oracle.Hca_exact.Oracle.minor_gcs);
-             ("runtime_s", jfloat oracle.Hca_exact.Oracle.runtime_s);
-           ]
-          @ alloc_fields hca @ phases)
+          [
+            ("n_instr", jint n);
+            ("hca_final_mii", jopt_int hca.Report.final_mii);
+            ("hca_legal", Json.Bool hca.Report.legal);
+            ("hca_cache_hits", jint hca.Report.cache_hits);
+            ("status", Json.Str (Hca_exact.Oracle.status_to_string oracle.Hca_exact.Oracle.status));
+            ("final_mii", jopt_int oracle.Hca_exact.Oracle.final_mii);
+            ("lower_bound", jint oracle.Hca_exact.Oracle.lower_bound);
+            ("copies", jint oracle.Hca_exact.Oracle.copies);
+            ("gap", Option.fold ~none:Json.Null ~some:jfloat gap);
+            ("sat_conflicts", jint oracle.Hca_exact.Oracle.explored);
+            ("sat_propagations", jint oracle.Hca_exact.Oracle.propagations);
+            ("sat_learnt", jint oracle.Hca_exact.Oracle.learnt_total);
+            ("sat_reused_hits", jint oracle.Hca_exact.Oracle.reused_hits);
+            ("sat_probes", jint (List.length oracle.Hca_exact.Oracle.probes));
+          ]
       else
         Hca_util.Tabular.add_row t
           [
@@ -706,178 +608,6 @@ let ablation () =
   Hca_util.Tabular.print t
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro benchmarks.                                          *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  heading "Bechamel timing (one Test.make per experiment family)";
-  let open Bechamel in
-  let open Toolkit in
-  let hca_test name f =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore (Report.run ~jobs:!jobs reference (f ()))))
-  in
-  let tests =
-    [
-      hca_test "table1/fir2dim" Hca_kernels.Fir2dim.ddg;
-      hca_test "table1/idcthor" Hca_kernels.Idcthor.ddg;
-      hca_test "table1/mpeg2inter" Hca_kernels.Mpeg2inter.ddg;
-      hca_test "table1/h264deblocking" Hca_kernels.H264deblock.ddg;
-      Test.make ~name:"fig_bandwidth/fir2dim-narrow"
-        (Staged.stage (fun () ->
-             ignore
-               (Report.run
-                  (Dspfabric.make ~n:2 ~m:2 ~k:2 ())
-                  (Hca_kernels.Fir2dim.ddg ()))));
-      Test.make ~name:"fig_scaling/flat-fir2dim"
-        (Staged.stage (fun () ->
-             ignore
-               (Hca_baseline.Flat_ica.run reference (Hca_kernels.Fir2dim.ddg ()))));
-      Test.make ~name:"mii/rec-h264"
-        (Staged.stage
-           (let g = Hca_kernels.H264deblock.ddg () in
-            fun () -> ignore (Mii.rec_mii g)));
-      (* The hot paths the incremental-cost work targets: one SEE
-         packing pass, the warm-cache cost summary, and the from-scratch
-         recompute it replaced on the move path. *)
-      (let see_problem =
-         let ddg = Hca_kernels.Fir2dim.ddg () in
-         let pg =
-           Pattern_graph.complete ~name:"bench-see"
-             ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
-             ~max_in:4
-         in
-         Problem.of_ddg ~name:"bench-see" ~ddg ~pg ()
-       in
-       let rec solved ii =
-         if ii > 64 then invalid_arg "bench-see: no feasible II"
-         else
-           match See.solve see_problem ~ii with
-           | Ok o -> (ii, o.See.state)
-           | Error _ -> solved (ii + 1)
-       in
-       let see_ii, see_state =
-         solved (Mii.rec_mii (Hca_kernels.Fir2dim.ddg ()))
-       in
-       Test.make_grouped ~name:"core" ~fmt:"%s/%s"
-         [
-           Test.make ~name:"see-solve-fir2dim"
-             (Staged.stage (fun () -> ignore (See.solve see_problem ~ii:see_ii)));
-           Test.make ~name:"state-summary-fir2dim"
-             (Staged.stage (fun () -> ignore (State.summary see_state ~ii:see_ii)));
-           Test.make ~name:"state-recompute-fir2dim"
-             (Staged.stage (fun () ->
-                  State.recompute_cost see_state ~target_ii:see_ii
-                    ~weights:Cost.default_weights));
-         ]);
-      (* The SEE's two per-step costs on one mid-search frontier state:
-         scoring every candidate cluster on the state's trail, and
-         materialising one beam winner (clone, then commit). *)
-      (let spec_problem =
-         let ddg = Hca_kernels.Fir2dim.ddg () in
-         let pg =
-           Pattern_graph.complete ~name:"bench-spec"
-             ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
-             ~max_in:4
-         in
-         Problem.of_ddg ~name:"bench-spec" ~ddg ~pg ()
-       in
-       let ii = 8 and weights = Cost.default_weights in
-       let st = ref (State.create spec_problem) in
-       (* Park every node but the last on some legal cluster, leaving a
-          deep frontier state with one unassigned node to score. *)
-       let node = Problem.size spec_problem - 1 in
-       for n = 0 to node - 1 do
-         let rec try_from c =
-           if c < 4 then
-             match
-               State.try_assign !st ~node:n ~cluster:c ~ii ~target_ii:ii
-                 ~weights
-             with
-             | Ok st' -> st := st'
-             | Error _ -> try_from (c + 1)
-         in
-         try_from 0
-       done;
-       let st = !st in
-       let clusters = [| 0; 1; 2; 3 |] in
-       let scores = Array.make (Array.length clusters) nan in
-       let tail_of_region = 3 in
-       let winner =
-         let feasible =
-           State.score_moves st ~node ~clusters ~ii ~target_ii:ii ~weights
-             ~tail_of_region ~scores
-         in
-         match Hca_util.Topk.smallest_indices ~k:1 scores ~len:4 with
-         | k :: _ when feasible > 0 -> clusters.(k)
-         | _ -> invalid_arg "bench-spec: no feasible move"
-       in
-       Test.make_grouped ~name:"spec" ~fmt:"%s/%s"
-         [
-           Test.make ~name:"batched-score-moves"
-             (Staged.stage (fun () ->
-                  ignore
-                    (State.score_moves st ~node ~clusters ~ii ~target_ii:ii
-                       ~weights ~tail_of_region ~scores
-                      : int)));
-           Test.make ~name:"materialise-try-assign"
-             (Staged.stage (fun () ->
-                  ignore
-                    (State.try_assign st ~node ~cluster:winner ~ii
-                       ~target_ii:ii ~weights)));
-         ]);
-      (* Affinity-region growing, which orders every SEE call and
-         colours every set-level Mapper call. *)
-      Test.make ~name:"regions"
-        (Staged.stage
-           (let p =
-              Problem.of_ddg ~name:"bench-regions"
-                ~ddg:(Hca_kernels.H264deblock.ddg ())
-                ~pg:
-                  (Pattern_graph.complete ~name:"bench-regions"
-                     ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
-                     ~max_in:4)
-                ()
-            in
-            fun () -> ignore (Regions.partition p ~capacity:64)));
-      Test.make ~name:"sched/modulo-fir2dim"
-        (Staged.stage
-           (let ddg = Hca_kernels.Fir2dim.ddg () in
-            let r = Report.run reference ddg in
-            let res = Option.get r.Report.result in
-            fun () ->
-              ignore
-                (Hca_sched.Modulo.run ~ddg
-                   ~cn_of_instr:res.Hierarchy.cn_of_instr ~cns:64 ~dma_ports:8
-                   ~start_ii:(Option.get r.Report.final_mii) ())));
-    ]
-  in
-  let benchmark test =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100) ()
-    in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-36s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-36s (no estimate)\n%!" name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* Semantic equivalence: simulate the compiled kernel.                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -947,16 +677,12 @@ let extended () =
       ]
   in
   let rows =
-    Hca_util.Domain_pool.parallel_map
-      ~jobs:(if !profile_mode then 1 else !jobs)
-      (fun (name, f) ->
-        let ddg = f () in
-        let r, phases = profiled (fun () -> Report.run reference ddg) in
-        (name, r, phases))
+    Hca_util.Domain_pool.parallel_map ~jobs:!jobs
+      (fun (name, f) -> (name, Report.run reference (f ())))
       Hca_kernels.Extended.all
   in
   List.iter
-    (fun (name, r, phases) ->
+    (fun (name, r) ->
       let wires =
         match r.Report.result with
         | Some res -> Some (Topology.wire_count (Topology.of_result res))
@@ -964,19 +690,17 @@ let extended () =
       in
       if !json_mode then
         emit_json ~experiment:"extended" ~kernel:name
-          ([
-             ("n_instr", jint r.Report.n_instr);
-             ("ini_mii", jint r.Report.ini_mii);
-             ("legal", Json.Bool r.Report.legal);
-             ("final_mii", jopt_int r.Report.final_mii);
-             ("copies", jint r.Report.copies);
-             ("runtime_s", jfloat r.Report.runtime_s);
-             ("cache_hits", jint r.Report.cache_hits);
-             ("cache_misses", jint r.Report.cache_misses);
-             ("reused_subproblems", jint r.Report.reused_subproblems);
-             ("wires", jopt_int wires);
-           ]
-          @ alloc_fields r @ phases)
+          [
+            ("n_instr", jint r.Report.n_instr);
+            ("ini_mii", jint r.Report.ini_mii);
+            ("legal", Json.Bool r.Report.legal);
+            ("final_mii", jopt_int r.Report.final_mii);
+            ("copies", jint r.Report.copies);
+            ("cache_hits", jint r.Report.cache_hits);
+            ("cache_misses", jint r.Report.cache_misses);
+            ("reused_subproblems", jint r.Report.reused_subproblems);
+            ("wires", jopt_int wires);
+          ]
       else
         Hca_util.Tabular.add_row t
           [
@@ -1006,7 +730,6 @@ let experiments =
     ("sched", sched);
     ("simulate", simulate);
     ("ablation", ablation);
-    ("bechamel", bechamel);
   ]
 
 let () =
@@ -1023,12 +746,6 @@ let () =
     | [] -> List.rev acc
     | "--json" :: rest ->
         json_mode := true;
-        parse acc rest
-    | "--profile" :: rest ->
-        profile_mode := true;
-        parse acc rest
-    | "--telemetry" :: rest ->
-        telemetry_mode := true;
         parse acc rest
     | "--jobs" :: v :: rest ->
         set_jobs v;
@@ -1055,13 +772,7 @@ let () =
         parse acc rest
     | a :: rest -> parse (a :: acc) rest
   in
-  let args = parse [] (List.tl (Array.to_list Sys.argv)) in
-  (* Arm the daemon's production telemetry (the flight ring) for the
-     whole run; every span instrumentation point now pays its armed
-     cost.  The experiment names stay the same on purpose — see the
-     header comment. *)
-  if !telemetry_mode then Hca_obs.Obs.Ring.arm ();
-  match args with
+  match parse [] (List.tl (Array.to_list Sys.argv)) with
   | _ :: _ as names ->
       List.iter
         (fun name ->

@@ -1,60 +1,44 @@
-(* bench_guard: quality-regression gate over bench NDJSON output.
+(* bench_guard: quality gate over bench NDJSON rows, and timing gate
+   over alternating hcabench pairs.
 
-   Usage: bench_guard [--runtime-budget EXP/KERNEL=SECONDS]...
-                      [--gate-optgap] BASELINE.json CURRENT.json
+   Usage: bench_guard [--require-rows EXP=N]... [--gate-optgap]
+                      BASELINE.json CURRENT.json
+          bench_guard --pairs BENCHMARK.json PARENT.ndjson CHANGE.ndjson
 
-   Both files hold newline-delimited JSON records as emitted by
-   [bench/main.exe --json].  For every (experiment, kernel) row present
-   in BOTH files, the quality fields — "final_mii", "legal", "copies",
-   and "wires" when present — must match exactly; runtimes and counters
-   may drift, quality may not.  Rows only one side has (new kernels,
-   new experiments) are reported but do not fail the gate, so the
-   baseline does not need to grow in lockstep with the suite.
+   Quality gate.  Both files hold the NDJSON rows [bench/main.exe
+   --json], [hca dse --out] or [hca loadtest --out] write.  For every
+   (experiment, kernel) row present in BOTH files, the quality fields —
+   "final_mii", "legal", "copies", and "wires" when present — must
+   match exactly, compared as JSON values; counters may drift.  Rows
+   only one side has are reported but do not fail the gate, so the
+   baseline need not grow in lockstep with the suite.  A baseline row
+   whose "git" stamp ends in "-dirty" draws a warning: it matches no
+   commit.
 
-   The "optgap" experiment is skipped by default: its oracle columns
-   depend on a SAT budget, so exact equality is not stable across
-   machines.  [--gate-optgap] turns on the budget-robust checks
-   instead: the two runs' {e certificates} must not contradict (a
-   current certified lower bound above a baseline model, or a current
-   model below the baseline's certified lower bound, is always a solver
-   bug regardless of budget), two proven optima must agree, and the
-   number of proven-optimal rows must not drop — a solver speed
-   regression shows up as a probe that no longer closes in budget.
+   "optgap" rows depend on a SAT budget and are skipped unless
+   [--gate-optgap] turns on the budget-robust checks: the two runs'
+   certificates must not contradict (a certified lower bound above the
+   other run's model is always a solver bug), two proven optima must
+   agree, and the number of proven-optimal rows must not drop.
 
-   Each repeatable [--runtime-budget exp/kernel=seconds] flag adds a
-   wall-clock ceiling on one CURRENT row's "runtime_s": a row over its
-   budget (or a budgeted row that is missing) fails the gate exactly
-   like a quality regression.  Budgets are opt-in per row, so the
-   default gate stays machine-independent; CI pins them only on the
-   kernels whose hot-path performance is a tracked deliverable.
+   Each repeatable [--require-rows exp=N] requires exactly N rows of
+   that experiment in CURRENT, so a sweep that silently dropped points
+   fails even though every row it emitted is clean.
 
-   Each repeatable [--require-rows exp=N] flag gates the CURRENT run's
-   coverage: the file must hold exactly N rows of that experiment.  A
-   sweep that silently dropped points (or double-counted them) fails
-   even though every row it did emit is individually clean — this is
-   how the dse-smoke gate pins the size of the swept design space.
+   Timing gate ([--pairs], run by scripts/perf_pair.sh).  PARENT and
+   CHANGE hold one line per [hcabench run], {"workload", "pair",
+   "result"}, where "result" is the object hcabench printed last, and
+   must hold the same (workload, pair) keys.  For every workload and
+   every end-to-end metric BENCHMARK.json declares, the gate prints the
+   medians of both sides and the median over pairs of change/parent,
+   and fails when that ratio is worse in the metric's declared
+   direction by more than its bound, or when the change failed a
+   larger share of its ops.  One timed run is one sample of a shared
+   machine's clock; the median over alternating pairs is not.
 
-   Each repeatable [--overhead-budget exp/kernel=factor] flag instead
-   gates the RATIO of the current row's "runtime_s" to the baseline's:
-   current must be <= factor * baseline.  Since both runs come from the
-   same machine in the same CI job, the ratio is machine-independent —
-   this is how the telemetry-overhead gate proves that arming the
-   observability stack costs at most the budgeted factor.
-
-   A baseline row whose "git" stamp carries a "-dirty" suffix draws a
-   warning: it was produced from an uncommitted tree, so it cannot be
-   correlated with any commit (the PR-7 baseline had exactly this flaw).
-
-   Every non-blank line of both files must be one JSON object (read
-   with [Hca_util.Json], the repo's one codec) carrying string
-   "experiment" and "kernel" fields; quality fields are compared as
-   JSON values, so [3] and [3.0] agree.  A line that is not JSON, or a
-   row without its keys, is a parse error naming the file and line —
-   every CI step that gates an NDJSON artifact thereby also validates
-   it.
-
-   Exit status: 0 clean, 1 on any quality regression or busted runtime
-   budget, 2 on usage or parse errors. *)
+   Every non-blank line must be one JSON object with its keys, or the
+   file and line are named as a parse error.  Exit status: 0 clean,
+   1 on any regression, 2 on usage or parse errors. *)
 
 module Json = Hca_util.Json
 
@@ -66,9 +50,18 @@ let str_field name row = Option.bind (Json.member name row) Json.str
 
 let int_field name row = Option.bind (Json.member name row) Json.int
 
-let runtime row = Option.bind (Json.member "runtime_s" row) Json.num
+let regressions = ref 0
 
-let load path =
+let regress fmt =
+  Printf.ksprintf
+    (fun m ->
+      incr regressions;
+      print_endline ("REGRESSION " ^ m))
+    fmt
+
+(* Every non-blank line of [path] as [(key row, row)]; [key] names what
+   a row lacks. *)
+let load_lines path key =
   let bad lineno msg = failwith (Printf.sprintf "%s:%d: %s" path lineno msg) in
   In_channel.with_open_text path In_channel.input_all
   |> String.split_on_char '\n'
@@ -79,32 +72,22 @@ let load path =
            match Json.parse line with
            | Error e -> bad lineno ("not a JSON row: " ^ e)
            | Ok row -> (
-               match (str_field "experiment" row, str_field "kernel" row) with
-               | Some e, Some k -> Some ((e, k), row)
-               | _ -> bad lineno "row without string experiment/kernel"))
+               match key row with
+               | Ok k -> Some (k, row)
+               | Error lacks -> bad lineno ("row without " ^ lacks)))
+
+let load path =
+  load_lines path (fun row ->
+      match (str_field "experiment" row, str_field "kernel" row) with
+      | Some e, Some k -> Ok (e, k)
+      | _ -> Error "string experiment/kernel")
 
 let usage () =
   prerr_endline
-    "usage: bench_guard [--runtime-budget EXP/KERNEL=SECONDS]... \
-     [--overhead-budget EXP/KERNEL=FACTOR]... [--require-rows EXP=N]... \
-     [--gate-optgap] BASELINE.json CURRENT.json";
+    "usage: bench_guard [--require-rows EXP=N]... [--gate-optgap] \
+     BASELINE.json CURRENT.json\n\
+    \       bench_guard --pairs BENCHMARK.json PARENT.ndjson CHANGE.ndjson";
   exit 2
-
-(* "exp/kernel=seconds" -> ((exp, kernel), seconds) *)
-let parse_budget spec =
-  match String.index_opt spec '=' with
-  | None -> None
-  | Some eq -> (
-      let target = String.sub spec 0 eq in
-      let secs = String.sub spec (eq + 1) (String.length spec - eq - 1) in
-      match (String.index_opt target '/', float_of_string_opt secs) with
-      | Some slash, Some s when s > 0.0 ->
-          let exp = String.sub target 0 slash in
-          let kernel =
-            String.sub target (slash + 1) (String.length target - slash - 1)
-          in
-          if exp = "" || kernel = "" then None else Some ((exp, kernel), s)
-      | _ -> None)
 
 (* "exp=N" -> (exp, N) *)
 let parse_row_count spec =
@@ -117,46 +100,206 @@ let parse_row_count spec =
       | Some n when exp <> "" && n >= 0 -> Some (exp, n)
       | _ -> None)
 
+let quality_gate ~gate_optgap ~row_counts baseline current =
+  let compared = ref 0 in
+  let dirty_rows =
+    List.filter
+      (fun (_, row) ->
+        match str_field "git" row with
+        | Some v -> String.ends_with ~suffix:"-dirty" v
+        | None -> false)
+      baseline
+  in
+  if dirty_rows <> [] then
+    Printf.printf
+      "  warning: %d baseline row(s) carry a -dirty git stamp (produced from \
+       an uncommitted tree); regenerate the baseline from a clean checkout\n"
+      (List.length dirty_rows);
+  let base_optimal = ref 0 and cur_optimal = ref 0 in
+  List.iter
+    (fun ((exp, kernel), cur) ->
+      match List.assoc_opt (exp, kernel) baseline with
+      | _
+        when List.mem exp skipped_experiments
+             && not (gate_optgap && exp = "optgap") ->
+          ()
+      | None -> Printf.printf "  new row %s/%s (not in baseline, ok)\n" exp kernel
+      | Some base when exp = "optgap" -> (
+          incr compared;
+          let status = str_field "status" in
+          if status base = Some "optimal" then incr base_optimal;
+          if status cur = Some "optimal" then incr cur_optimal;
+          let lb = int_field "lower_bound" and mii = int_field "final_mii" in
+          (match (lb cur, mii base) with
+          | Some lc, Some fb when lc > fb ->
+              regress "%s/%s: certified lower bound %d contradicts baseline \
+                       model at %d" exp kernel lc fb
+          | _ -> ());
+          (match (lb base, mii cur) with
+          | Some lb, Some fc when fc < lb ->
+              regress "%s/%s: model at %d below baseline certified lower \
+                       bound %d" exp kernel fc lb
+          | _ -> ());
+          match (status base, status cur, mii base, mii cur) with
+          | Some "optimal", Some "optimal", Some a, Some b when a <> b ->
+              regress "%s/%s: proven optimum moved from %d to %d" exp kernel a b
+          | _ -> ())
+      | Some base ->
+          incr compared;
+          List.iter
+            (fun f ->
+              match (Json.member f base, Json.member f cur) with
+              | Some b, Some c when b <> c ->
+                  regress "%s/%s: %s was %s, now %s" exp kernel f
+                    (Json.to_string b) (Json.to_string c)
+              | Some _, None -> regress "%s/%s: %s disappeared" exp kernel f
+              | None, _ | Some _, Some _ -> ())
+            quality_fields)
+    current;
+  if gate_optgap && !cur_optimal < !base_optimal then
+    regress "optgap: proven-optimal rows dropped from %d to %d (a probe no \
+             longer closes within its budget)" !base_optimal !cur_optimal;
+  List.iter
+    (fun ((exp, kernel), _) ->
+      if not (List.mem_assoc (exp, kernel) current) then
+        Printf.printf "  baseline row %s/%s missing from current run\n" exp kernel)
+    baseline;
+  List.iter
+    (fun (exp, want) ->
+      let got = List.length (List.filter (fun ((e, _), _) -> e = exp) current) in
+      if got <> want then
+        regress "%s: expected %d row(s) in the current run, got %d" exp want got
+      else Printf.printf "  %s row count %d as required\n" exp got)
+    row_counts;
+  if !regressions > 0 then begin
+    Printf.printf "bench_guard: %d quality regression(s) over %d rows\n"
+      !regressions !compared;
+    exit 1
+  end
+  else Printf.printf "bench_guard: %d rows compared, quality unchanged\n" !compared
+
+(* An end-to-end metric as BENCHMARK.json declares it. *)
+type bound = { metric : string; lower_better : bool; bound : float }
+
+let load_bounds path =
+  let bad msg = failwith (Printf.sprintf "%s: %s" path msg) in
+  match Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Error e -> bad e
+  | Ok decl -> (
+      match Json.member "end_to_end" decl with
+      | Some (Json.Arr metrics) ->
+          List.map
+            (fun m ->
+              match
+                ( str_field "name" m,
+                  str_field "better" m,
+                  Option.bind (Json.member "bound" m) Json.num )
+              with
+              | Some metric, Some (("lower" | "higher") as better), Some bound ->
+                  { metric; lower_better = better = "lower"; bound }
+              | _ -> bad "end_to_end entry without name, better and bound")
+            metrics
+      | _ -> bad "no end_to_end list")
+
+(* A number under a run's "result", e.g. [["metrics"; m; "value"]]. *)
+let result_num keys run =
+  let v =
+    List.fold_left
+      (fun v key -> Option.bind v (Json.member key))
+      (Json.member "result" run) keys
+  in
+  Option.bind v Json.num
+
+let metric_path b = [ "metrics"; b.metric; "value" ]
+
+(* Runs keyed by (workload, pair), each carrying every declared metric
+   and its op counts. *)
+let load_runs bounds path =
+  load_lines path (fun row ->
+      let lacks =
+        List.filter
+          (fun keys -> result_num keys row = None)
+          ([ "attempted" ] :: [ "failed" ] :: List.map metric_path bounds)
+      in
+      match (str_field "workload" row, int_field "pair" row, lacks) with
+      | Some w, Some i, [] -> Ok (w, i)
+      | _, _, keys :: _ -> Error ("result." ^ String.concat "." keys)
+      | _ -> Error "string workload and integer pair")
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+let pair_gate bounds parent change =
+  let workloads =
+    List.fold_left
+      (fun acc ((w, _), _) -> if List.mem w acc then acc else acc @ [ w ])
+      [] change
+  in
+  Printf.printf "%-14s %-15s %10s %10s %7s %6s\n" "workload" "metric" "parent"
+    "change" "ratio" "bound";
+  List.iter
+    (fun w ->
+      let pairs =
+        List.filter_map
+          (fun ((w', i), cr) ->
+            if w' = w then Some (List.assoc (w, i) parent, cr) else None)
+          change
+      in
+      let side f keys = List.map (fun pr -> Option.get (result_num keys (f pr))) pairs in
+      List.iter
+        (fun b ->
+          let pv = side fst (metric_path b) and cv = side snd (metric_path b) in
+          let ratio =
+            median (List.map2 (fun p c -> if p = c then 1. else c /. p) pv cv)
+          in
+          Printf.printf "%-14s %-15s %10.4g %10.4g %7.3f %6g\n" w b.metric
+            (median pv) (median cv) ratio b.bound;
+          let worse = if b.lower_better then ratio -. 1. else 1. -. ratio in
+          if not (worse <= b.bound) then
+            regress "%s/%s: median change/parent ratio %.3f, bound %g" w
+              b.metric ratio b.bound)
+        bounds;
+      let failed_share f =
+        let sum key = List.fold_left ( +. ) 0. (side f [ key ]) in
+        if sum "attempted" > 0. then sum "failed" /. sum "attempted" else 0.
+      in
+      let ps = failed_share fst and cs = failed_share snd in
+      Printf.printf "%-14s %-15s %10.4g %10.4g\n" w "failed share" ps cs;
+      if cs > ps then
+        regress "%s: the change failed %.4g of its ops, the parent %.4g" w cs ps)
+    workloads;
+  if !regressions > 0 then begin
+    Printf.printf "bench_guard: %d regression(s) over %d pair(s)\n"
+      !regressions (List.length change);
+    exit 1
+  end
+  else
+    Printf.printf "bench_guard: %d pair(s) compared, within bounds\n"
+      (List.length change)
+
 let () =
-  let budgets = ref [] in
-  let overheads = ref [] in
   let row_counts = ref [] in
   let paths = ref [] in
   let gate_optgap = ref false in
+  let pairs = ref None in
   let rec parse_args = function
     | [] -> ()
-    | "--runtime-budget" :: spec :: rest -> (
-        match parse_budget spec with
-        | Some b ->
-            budgets := b :: !budgets;
-            parse_args rest
-        | None ->
-            Printf.eprintf
-              "bench_guard: bad --runtime-budget %S (want exp/kernel=seconds)\n"
-              spec;
-            exit 2)
-    | [ "--runtime-budget" ] -> usage ()
-    | "--overhead-budget" :: spec :: rest -> (
-        match parse_budget spec with
-        | Some b ->
-            overheads := b :: !overheads;
-            parse_args rest
-        | None ->
-            Printf.eprintf
-              "bench_guard: bad --overhead-budget %S (want exp/kernel=factor)\n"
-              spec;
-            exit 2)
-    | [ "--overhead-budget" ] -> usage ()
+    | "--pairs" :: decl :: rest ->
+        pairs := Some decl;
+        parse_args rest
     | "--require-rows" :: spec :: rest -> (
         match parse_row_count spec with
         | Some rc ->
             row_counts := rc :: !row_counts;
             parse_args rest
         | None ->
-            Printf.eprintf
-              "bench_guard: bad --require-rows %S (want exp=N)\n" spec;
+            Printf.eprintf "bench_guard: bad --require-rows %S (want exp=N)\n"
+              spec;
             exit 2)
-    | [ "--require-rows" ] -> usage ()
+    | [ ("--pairs" | "--require-rows") ] -> usage ()
     | "--gate-optgap" :: rest ->
         gate_optgap := true;
         parse_args rest
@@ -165,206 +308,27 @@ let () =
         parse_args rest
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  let budgets = List.rev !budgets in
-  let overheads = List.rev !overheads in
-  let row_counts = List.rev !row_counts in
-  match List.rev !paths with
-  | [ baseline_path; current_path ] -> (
+  let parse_error msg =
+    Printf.eprintf "bench_guard: %s\n" msg;
+    exit 2
+  in
+  match (!pairs, List.rev !paths) with
+  | Some decl, [ parent_path; change_path ] -> (
+      let keys runs = List.sort compare (List.map fst runs) in
+      match
+        let bounds = load_bounds decl in
+        (bounds, load_runs bounds parent_path, load_runs bounds change_path)
+      with
+      | exception (Failure msg | Sys_error msg) -> parse_error msg
+      | _, parent, change when keys parent <> keys change ->
+          parse_error
+            (Printf.sprintf "%s and %s hold different (workload, pair) runs"
+               parent_path change_path)
+      | bounds, parent, change -> pair_gate bounds parent change)
+  | None, [ baseline_path; current_path ] -> (
       match (load baseline_path, load current_path) with
-      | exception Failure msg ->
-          Printf.eprintf "bench_guard: %s\n" msg;
-          exit 2
-      | exception Sys_error msg ->
-          Printf.eprintf "bench_guard: %s\n" msg;
-          exit 2
+      | exception (Failure msg | Sys_error msg) -> parse_error msg
       | baseline, current ->
-          let regressions = ref 0 and compared = ref 0 in
-          (* Provenance check: a -dirty stamp means the baseline was
-             generated from an uncommitted tree and matches no commit. *)
-          let dirty_rows =
-            List.filter
-              (fun (_, row) ->
-                match str_field "git" row with
-                | Some v -> String.ends_with ~suffix:"-dirty" v
-                | None -> false)
-              baseline
-          in
-          if dirty_rows <> [] then
-            Printf.printf
-              "  warning: %d baseline row(s) carry a -dirty git stamp \
-               (produced from an uncommitted tree); regenerate the baseline \
-               from a clean checkout\n"
-              (List.length dirty_rows);
-          let base_optimal = ref 0 and cur_optimal = ref 0 in
-          List.iter
-            (fun ((exp, kernel), cur) ->
-              match List.assoc_opt (exp, kernel) baseline with
-              | _
-                when List.mem exp skipped_experiments
-                     && not (!gate_optgap && exp = "optgap") ->
-                  ()
-              | None ->
-                  Printf.printf "  new row %s/%s (not in baseline, ok)\n" exp
-                    kernel
-              | Some base when exp = "optgap" ->
-                  (* Budget-robust oracle checks: certificates from two
-                     runs of a sound solver can never contradict, no
-                     matter how their budgets differed. *)
-                  incr compared;
-                  let status = str_field "status" in
-                  if status base = Some "optimal" then incr base_optimal;
-                  if status cur = Some "optimal" then incr cur_optimal;
-                  (match
-                     (int_field "lower_bound" cur, int_field "final_mii" base)
-                   with
-                  | Some lc, Some fb when lc > fb ->
-                      incr regressions;
-                      Printf.printf
-                        "REGRESSION %s/%s: certified lower bound %d \
-                         contradicts baseline model at %d\n"
-                        exp kernel lc fb
-                  | _ -> ());
-                  (match
-                     (int_field "lower_bound" base, int_field "final_mii" cur)
-                   with
-                  | Some lb, Some fc when fc < lb ->
-                      incr regressions;
-                      Printf.printf
-                        "REGRESSION %s/%s: model at %d below baseline \
-                         certified lower bound %d\n"
-                        exp kernel fc lb
-                  | _ -> ());
-                  (match
-                     ( status base,
-                       status cur,
-                       int_field "final_mii" base,
-                       int_field "final_mii" cur )
-                   with
-                  | Some "optimal", Some "optimal", Some a, Some b
-                    when a <> b ->
-                      incr regressions;
-                      Printf.printf
-                        "REGRESSION %s/%s: proven optimum moved from %d to %d\n"
-                        exp kernel a b
-                  | _ -> ())
-              | Some base ->
-                  incr compared;
-                  List.iter
-                    (fun f ->
-                      match (Json.member f base, Json.member f cur) with
-                      | Some b, Some c when b <> c ->
-                          incr regressions;
-                          Printf.printf
-                            "REGRESSION %s/%s: %s was %s, now %s\n" exp kernel
-                            f (Json.to_string b) (Json.to_string c)
-                      | Some _, None ->
-                          incr regressions;
-                          Printf.printf "REGRESSION %s/%s: %s disappeared\n"
-                            exp kernel f
-                      | None, _ -> ()
-                      | Some _, Some _ -> ())
-                    quality_fields)
-            current;
-          if !gate_optgap && !cur_optimal < !base_optimal then begin
-            incr regressions;
-            Printf.printf
-              "REGRESSION optgap: proven-optimal rows dropped from %d to %d \
-               (a probe no longer closes within its budget)\n"
-              !base_optimal !cur_optimal
-          end;
-          List.iter
-            (fun ((exp, kernel), _) ->
-              if not (List.mem_assoc (exp, kernel) current) then
-                Printf.printf "  baseline row %s/%s missing from current run\n"
-                  exp kernel)
-            baseline;
-          List.iter
-            (fun ((exp, kernel), budget_s) ->
-              match List.assoc_opt (exp, kernel) current with
-              | None ->
-                  incr regressions;
-                  Printf.printf
-                    "REGRESSION %s/%s: runtime budget %.3fs set but row \
-                     missing from current run\n"
-                    exp kernel budget_s
-              | Some row -> (
-                  match runtime row with
-                  | None ->
-                      incr regressions;
-                      Printf.printf
-                        "REGRESSION %s/%s: runtime budget %.3fs set but row \
-                         has no runtime_s\n"
-                        exp kernel budget_s
-                  | Some t when t > budget_s ->
-                      incr regressions;
-                      Printf.printf
-                        "REGRESSION %s/%s: runtime_s %.3f over budget %.3f\n"
-                        exp kernel t budget_s
-                  | Some t ->
-                      Printf.printf "  %s/%s runtime_s %.3f within budget %.3f\n"
-                        exp kernel t budget_s))
-            budgets;
-          (* Coverage gate: the current run must hold exactly the
-             declared number of rows per experiment — a sweep that
-             dropped points emits only clean rows, so nothing else
-             would notice. *)
-          List.iter
-            (fun (exp, want) ->
-              let got =
-                List.length (List.filter (fun ((e, _), _) -> e = exp) current)
-              in
-              if got <> want then begin
-                incr regressions;
-                Printf.printf
-                  "REGRESSION %s: expected %d row(s) in the current run, got \
-                   %d\n"
-                  exp want got
-              end
-              else
-                Printf.printf "  %s row count %d as required\n" exp got)
-            row_counts;
-          (* Ratio gate: current runtime_s <= factor * baseline
-             runtime_s for the same (experiment, kernel) row.  Both
-             runs come from this invocation's two input files, so the
-             comparison cancels the machine out. *)
-          List.iter
-            (fun ((exp, kernel), factor) ->
-              let runtime rows =
-                Option.bind (List.assoc_opt (exp, kernel) rows) runtime
-              in
-              match (runtime baseline, runtime current) with
-              | None, _ | _, None ->
-                  incr regressions;
-                  Printf.printf
-                    "REGRESSION %s/%s: overhead budget %.2fx set but the row \
-                     (with runtime_s) is missing from %s\n"
-                    exp kernel factor
-                    (if runtime baseline = None then "the baseline run"
-                     else "the current run")
-              | Some base_t, Some cur_t ->
-                  if cur_t > factor *. base_t then begin
-                    incr regressions;
-                    Printf.printf
-                      "REGRESSION %s/%s: runtime_s %.3f is %.2fx the baseline \
-                       %.3f (budget %.2fx)\n"
-                      exp kernel cur_t
-                      (if base_t > 0. then cur_t /. base_t else infinity)
-                      base_t factor
-                  end
-                  else
-                    Printf.printf
-                      "  %s/%s runtime_s %.3f vs baseline %.3f (%.2fx, budget \
-                       %.2fx)\n"
-                      exp kernel cur_t base_t
-                      (if base_t > 0. then cur_t /. base_t else 0.)
-                      factor)
-            overheads;
-          if !regressions > 0 then begin
-            Printf.printf "bench_guard: %d quality regression(s) over %d rows\n"
-              !regressions !compared;
-            exit 1
-          end
-          else
-            Printf.printf "bench_guard: %d rows compared, quality unchanged\n"
-              !compared)
+          quality_gate ~gate_optgap:!gate_optgap
+            ~row_counts:(List.rev !row_counts) baseline current)
   | _ -> usage ()

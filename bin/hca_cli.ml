@@ -423,18 +423,8 @@ let dse_cmd =
       & opt (some string) None
       & info [ "out" ] ~docv:"FILE" ~doc:"Write the NDJSON rows to $(docv).")
   in
-  let timing =
-    Arg.(
-      value & flag
-      & info [ "timing" ]
-          ~doc:
-            "Append a dse_meta/sweep row with the wall clock to the NDJSON \
-             (off by default: without it the output is byte-identical at \
-             any --jobs).")
-  in
   let run machines grid_fanouts grid_caps grid_dma random seed hetero kernels
-      config jobs out timing =
-    let t0 = Hca_util.Clock.now () in
+      config jobs out =
     let explicit = Hca_gen.Dse.machine_points machines in
     let grid =
       if grid_fanouts = [] || grid_caps = [] then []
@@ -472,18 +462,6 @@ let dse_cmd =
     | Some path ->
         let oc = open_out path in
         output_string oc (Hca_gen.Dse.to_ndjson result);
-        if timing then begin
-          let count l = Hca_util.Json.Num (float_of_int (List.length l)) in
-          output_string oc
-            (Hca_util.Json.row ~experiment:"dse_meta" ~kernel:"sweep"
-               [
-                 ("points", count points);
-                 ("kernels", count kernels);
-                 ("rows", count result.Hca_gen.Dse.evals);
-                 ("runtime_s", Hca_util.Json.fixed 3 (Hca_util.Clock.now () -. t0));
-               ]);
-          output_char oc '\n'
-        end;
         close_out oc;
         Printf.printf "rows written to %s\n" path);
     match Hca_gen.Dse.check result with
@@ -499,7 +477,7 @@ let dse_cmd =
           suite and report the Pareto front")
     Term.(
       const run $ machines $ grid_fanouts $ grid_caps $ grid_dma $ random
-      $ seed $ hetero $ kernels $ config_term $ jobs_term $ out $ timing)
+      $ seed $ hetero $ kernels $ config_term $ jobs_term $ out)
 
 let dot_cmd =
   let run (name, f) fabric assigned =

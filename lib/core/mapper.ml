@@ -316,7 +316,3 @@ let map ?(consolidate = false) ?(wire_cap = max_int)
     (fun () ->
       map_traced ~consolidate ~wire_cap ~color ~problem ~state ~in_capacity
         ~out_capacity)
-
-let pp_result ppf r =
-  Format.fprintf ppf "@[<v>%a@,max wire load: %d@]" Machine_model.pp r.model
-    r.max_wire_load

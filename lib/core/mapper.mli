@@ -51,5 +51,3 @@ val map :
     in-sources than input wires after the pre-allocations) — the driver
     then retries at a larger II or reports the architecture as too
     narrow, which is exactly the §5 bandwidth-degradation effect. *)
-
-val pp_result : Format.formatter -> result -> unit

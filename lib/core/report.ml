@@ -278,14 +278,6 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
         result = Some res;
       }
 
-let failure_row ~kernel ~machine ddg msg =
-  let resources =
-    (* Static bounds on the reference machine so the row stays
-       informative even when the target never materialised. *)
-    Dspfabric.resources Dspfabric.reference
-  in
-  { (base_row ~kernel ~machine ddg resources) with error = Some msg }
-
 let header = [ "Loop"; "N_Instr"; "MIIRec"; "MIIRes"; "Legal"; "Final MII" ]
 
 let row t =

@@ -107,10 +107,6 @@ val run :
     silently.  Deadline runs are wall-clock dependent, so the
     invariance guarantees above only cover [deadline_s = None]. *)
 
-val failure_row : kernel:string -> machine:string -> Ddg.t -> string -> t
-(** A row for a kernel that could not be clusterised, with the static
-    bounds still filled in. *)
-
 val header : string list
 (** Column names matching {!row}. *)
 

@@ -138,32 +138,3 @@ let nontrivial_sccs g =
   |> List.filter (has_circuit g)
   |> Array.of_list
 
-let reachable g start =
-  let n = Ddg.size g in
-  let seen = Array.make n false in
-  let rec go u =
-    if not seen.(u) then begin
-      seen.(u) <- true;
-      List.iter (fun (e : Ddg.edge) -> go e.dst) (Ddg.succs g u)
-    end
-  in
-  go start;
-  seen
-
-let undirected_components g =
-  let n = Ddg.size g in
-  let parent = Array.init n (fun i -> i) in
-  let rec find i = if parent.(i) = i then i else find parent.(i) in
-  let union a b =
-    let ra = find a and rb = find b in
-    if ra <> rb then parent.(ra) <- rb
-  in
-  Ddg.iter_edges (fun e -> union e.src e.dst) g;
-  let buckets = Hashtbl.create 16 in
-  for i = n - 1 downto 0 do
-    let r = find i in
-    let cur = try Hashtbl.find buckets r with Not_found -> [] in
-    Hashtbl.replace buckets r (i :: cur)
-  done;
-  Hashtbl.fold (fun _ comp acc -> comp :: acc) buckets []
-  |> List.sort compare |> Array.of_list

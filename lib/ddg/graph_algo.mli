@@ -34,9 +34,3 @@ val sccs : Ddg.t -> Instr.id list array
 val nontrivial_sccs : Ddg.t -> Instr.id list array
 (** Only the components that contain a circuit (size > 1, or a
     loop-carried self-edge): the recurrences of the loop. *)
-
-val reachable : Ddg.t -> Instr.id -> bool array
-(** Forward reachability over all edges. *)
-
-val undirected_components : Ddg.t -> Instr.id list array
-(** Weakly connected components (over all edges, directions ignored). *)

@@ -775,10 +775,3 @@ let fold_problem_clauses t f acc =
     acc := f !acc lits
   done;
   !acc
-
-let pp_stats ppf t =
-  Format.fprintf ppf
-    "vars=%d clauses=%d conflicts=%d decisions=%d props=%d learnt=%d/%d \
-     deleted=%d reused=%d"
-    t.nvars t.problems.Iv.n t.n_conflicts t.n_decisions t.n_props
-    t.n_live_learnt t.n_learnt_total t.n_deleted_total t.n_reused

@@ -107,5 +107,3 @@ val fold_problem_clauses : t -> ('a -> int list -> 'a) -> 'a -> 'a
     reductions.  Clauses satisfied at level 0 when added (and level-0
     unit implications) are not stored; they hold in any model extending
     the level-0 trail. *)
-
-val pp_stats : Format.formatter -> t -> unit

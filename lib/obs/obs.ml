@@ -676,11 +676,6 @@ module Summary = struct
     in
     { phases = phase_list; counters = counter_list; histograms = hist_list }
 
-  let phase_s t name =
-    match List.find_opt (fun (p : phase) -> p.name = name) t.phases with
-    | Some p -> p.total_s
-    | None -> 0.
-
   let counter t name =
     Option.value ~default:0 (List.assoc_opt name t.counters)
 

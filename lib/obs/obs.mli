@@ -222,9 +222,6 @@ module Summary : sig
       attributed per domain (each stream nests independently), then
       summed across domains; unterminated spans are ignored. *)
 
-  val phase_s : t -> string -> float
-  (** Total seconds of the named phase, 0. when absent. *)
-
   val counter : t -> string -> int
 
   val print : t -> unit

@@ -50,12 +50,3 @@ let equal_trace ~by_name ~by_name' a b =
   let key name (e : event) = (name e.store, e.iteration, e.address, e.value) in
   let sort keyed = List.sort compare keyed in
   sort (List.map (key by_name) a) = sort (List.map (key by_name') b)
-
-let pp_trace ppf trace =
-  Format.fprintf ppf "@[<v>";
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "iter %d: store %%%d [%ld] <- %ld@," e.iteration
-        e.store e.address e.value)
-    trace;
-  Format.fprintf ppf "@]"

@@ -30,5 +30,3 @@ val equal_trace : by_name:(Instr.id -> string) -> by_name':(Instr.id -> string) 
 (** Trace equality matching stores by {e name} rather than id, so the
     original and the expanded DDG (extra receive nodes shift nothing —
     store ids are preserved — but ids are not relied upon) compare. *)
-
-val pp_trace : Format.formatter -> trace -> unit

@@ -14,19 +14,20 @@
 #   6. check the structured log: lifecycle events present, every line
 #      one JSON object;
 #   7. replay the same traffic against a telemetry-off daemon and let
-#      bench_guard prove the served quality is bit-identical;
-#   8. run the table1 bench with and without the flight ring armed and
-#      let bench_guard gate the telemetry overhead.
+#      bench_guard prove the served quality is bit-identical.
+#
+# The flight ring's time cost is gated by scripts/perf_pair.sh
+# (serve_cold), not here: one timed sample per side cannot tell it
+# from noise.
 #
 # Binaries are resolved from _build so the daemon can be backgrounded
 # without a wrapper process swallowing its graceful-shutdown SIGTERM;
-# override with HCA= / GUARD= / BENCH=.
+# override with HCA= / GUARD=.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 HCA=${HCA:-./_build/default/bin/hca_cli.exe}
 GUARD=${GUARD:-./_build/default/bin/bench_guard.exe}
-BENCH=${BENCH:-./_build/default/bench/main.exe}
 
 WORK=$(mktemp -d)
 SOCK="$WORK/hca.sock"
@@ -100,11 +101,5 @@ kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 SERVE_PID=""
 "$GUARD" "$WORK/loadtest_off.json" "$WORK/loadtest_on.json"
-
-echo "== 9. telemetry overhead within budget on the table1 bench =="
-"$BENCH" table1 --json --jobs 1 > "$WORK/table1_off.json"
-"$BENCH" table1 --telemetry --json --jobs 1 > "$WORK/table1_on.json"
-"$GUARD" --overhead-budget table1/h264deblocking=1.50 \
-  "$WORK/table1_off.json" "$WORK/table1_on.json"
 
 echo "demo_telemetry: all steps passed"

@@ -578,13 +578,6 @@ let test_report_rows () =
   Alcotest.(check int) "columns" (List.length Report.header) (List.length row);
   Alcotest.(check string) "name" "fir2dim" (List.hd row)
 
-let test_report_failure_row () =
-  let row =
-    Report.failure_row ~kernel:"x" ~machine:"m" (diamond ()) "boom"
-  in
-  Alcotest.(check bool) "not legal" false row.Report.legal;
-  Alcotest.(check (option string)) "error kept" (Some "boom") row.Report.error
-
 let test_hierarchy_narrow_fabric_fails_or_degrades () =
   (* N = M = K = 1 cannot carry idcthor's traffic at any II we allow:
      either it fails or legality costs a much larger final MII. *)
@@ -848,7 +841,6 @@ let () =
             test_coherency_catches_corruption;
           Alcotest.test_case "metrics" `Quick test_metrics_sanity;
           Alcotest.test_case "report rows" `Slow test_report_rows;
-          Alcotest.test_case "failure row" `Quick test_report_failure_row;
           Alcotest.test_case "narrow fabric degrades" `Slow
             test_hierarchy_narrow_fabric_fails_or_degrades;
           Alcotest.test_case "specific errors" `Quick

@@ -205,22 +205,6 @@ let test_self_loop_scc () =
   Alcotest.(check int) "self loop counts" 1
     (Array.length (Graph_algo.nontrivial_sccs g))
 
-let test_reachable () =
-  let g = chain 4 in
-  let r = Graph_algo.reachable g 1 in
-  Alcotest.(check (array bool)) "reach" [| false; true; true; true |] r
-
-let test_undirected_components () =
-  let b = Ddg.Builder.create () in
-  let a = Ddg.Builder.add_instr b Opcode.Add in
-  let c = Ddg.Builder.add_instr b Opcode.Add in
-  let d = Ddg.Builder.add_instr b Opcode.Add in
-  Ddg.Builder.add_dep b ~src:a ~dst:c;
-  ignore d;
-  let g = Ddg.Builder.freeze b in
-  Alcotest.(check int) "two components" 2
-    (Array.length (Graph_algo.undirected_components g))
-
 (* --- MII ----------------------------------------------------------- *)
 
 let test_rec_mii_no_recurrence () =
@@ -400,8 +384,6 @@ let () =
           Alcotest.test_case "scc cycle" `Quick test_sccs_cycle;
           Alcotest.test_case "scc dag" `Quick test_sccs_dag_trivial;
           Alcotest.test_case "self loop" `Quick test_self_loop_scc;
-          Alcotest.test_case "reachable" `Quick test_reachable;
-          Alcotest.test_case "undirected comps" `Quick test_undirected_components;
           QCheck_alcotest.to_alcotest prop_topo_respects_edges;
           QCheck_alcotest.to_alcotest prop_depth_height_bound;
         ] );
