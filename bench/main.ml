@@ -23,10 +23,11 @@
    their time columns, which display the §7 claim.
 
    The global flag --jobs N (default: Domain.recommended_domain_count)
-   sizes the domain pool: table1 fans out the portfolio configurations,
-   fig_scaling/extended fan out over kernels, and optgap probes oracle
-   MII bounds concurrently.  Results are emitted in the sequential
-   order and are identical at every N; only the wall clock changes.
+   sizes the domain pool: table1 fans out the portfolio configurations
+   and fig_scaling/extended fan out over kernels; optgap runs its
+   oracle searches one after another.  Results are emitted in the
+   sequential order and are identical at every N; only the wall clock
+   changes.
 
    Absolute numbers are NOT expected to match the paper (the substrate
    is a reconstruction); the shapes — who is legal, who degrades, where
@@ -525,18 +526,10 @@ let sched () =
       let r = Report.run reference ddg in
       match (r.Report.result, r.Report.final_mii) with
       | Some res, Some final -> (
-          (* Schedule the expanded DDG: receives and forwards are real
-             instructions with their transport latency on the edges. *)
-          let exp = Postprocess.expand res in
-          let params =
-            { Hca_sched.Modulo.default_params with copy_latency = 0 }
+          let { Hca_sched.Lower.expanded = exp; schedule } =
+            Hca_sched.Lower.run res ~final_mii:final
           in
-          match
-            Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-              ~cn_of_instr:exp.Postprocess.cn_of_node
-              ~cns:(Dspfabric.total_cns reference)
-              ~dma_ports:(Dspfabric.dma_ports reference) ~start_ii:final ()
-          with
+          match schedule with
           | Error e ->
               Hca_util.Tabular.add_row t
                 [ name; string_of_int final; e; "-"; "-"; "-"; "-" ]
@@ -544,7 +537,8 @@ let sched () =
               let koms = Hca_sched.Koms.analyse s in
               let rp =
                 Hca_sched.Regpress.analyse ~ddg:exp.Postprocess.ddg
-                  ~cn_of_instr:exp.Postprocess.cn_of_node ~copy_latency:0 s
+                  ~cn_of_instr:exp.Postprocess.cn_of_node
+                  ~copy_latency:Hca_sched.Lower.copy_latency s
               in
               let sl = Graph_algo.critical_path ddg + 1 in
               Hca_util.Tabular.add_row t
@@ -628,16 +622,10 @@ let simulate () =
       let r = Report.run reference ddg in
       match (r.Report.result, r.Report.final_mii) with
       | Some res, Some final -> (
-          let exp = Postprocess.expand res in
-          let params =
-            { Hca_sched.Modulo.default_params with copy_latency = 0 }
+          let { Hca_sched.Lower.expanded = exp; schedule } =
+            Hca_sched.Lower.run res ~final_mii:final
           in
-          match
-            Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-              ~cn_of_instr:exp.Postprocess.cn_of_node
-              ~cns:(Dspfabric.total_cns reference)
-              ~dma_ports:(Dspfabric.dma_ports reference) ~start_ii:final ()
-          with
+          match schedule with
           | Error e ->
               Hca_util.Tabular.add_row t [ name; e; "-"; "-"; "-"; "-" ]
           | Ok schedule -> (

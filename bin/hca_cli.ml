@@ -115,8 +115,8 @@ let jobs_term =
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Size of the domain pool used to probe candidate IIs (or oracle \
-           MII bounds) concurrently.  Results are identical at every N.")
+          "Size of the domain pool used to probe candidate IIs \
+           concurrently.  Results are identical at every N.")
 
 let resources_of fabric = Dspfabric.resources fabric
 
@@ -559,73 +559,58 @@ let topology_cmd =
        ~doc:"Emit the reconfiguration program of the selected topology")
     Term.(const run $ kernel_arg $ fabric_term $ config_term)
 
+(* [hca sched] and [hca simulate]: the kernel, its final MII and the
+   shared lowering of its clusterisation; exits 1 when there is none. *)
+let lowered (_, f) fabric config =
+  let ddg = f () in
+  let report = Report.run ~config fabric ddg in
+  match (report.Report.result, report.Report.final_mii) with
+  | Some res, Some final -> (ddg, final, Hca_sched.Lower.run res ~final_mii:final)
+  | _ ->
+      prerr_endline "clusterisation failed";
+      exit 1
+
 let sched_cmd =
-  let run (name, f) fabric config =
-    ignore name;
-    let ddg = f () in
-    let report = Report.run ~config fabric ddg in
-    match (report.Report.result, report.Report.final_mii) with
-    | Some res, Some final -> (
-        let exp = Postprocess.expand res in
-        Printf.printf "expanded DDG: %d nodes (%d receives, %d forwards)\n"
-          (Ddg.size exp.Postprocess.ddg)
-          exp.Postprocess.recv_count exp.Postprocess.forward_count;
-        let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-        match
-          Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-            ~cn_of_instr:exp.Postprocess.cn_of_node
-            ~cns:(Dspfabric.total_cns fabric)
-            ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-        with
-        | Error e -> Printf.printf "scheduling failed: %s\n" e
-        | Ok s ->
-            Printf.printf
-              "modulo schedule: II=%d (final MII %d), %d stages, occupancy \
-               %.2f\n"
-              s.Hca_sched.Modulo.ii final s.Hca_sched.Modulo.stages
-              s.Hca_sched.Modulo.occupancy)
-    | _ ->
-        prerr_endline "clusterisation failed";
-        exit 1
+  let run kernel fabric config =
+    let _, final, { Hca_sched.Lower.expanded = exp; schedule } =
+      lowered kernel fabric config
+    in
+    Printf.printf "expanded DDG: %d nodes (%d receives, %d forwards)\n"
+      (Ddg.size exp.Postprocess.ddg)
+      exp.Postprocess.recv_count exp.Postprocess.forward_count;
+    match schedule with
+    | Error e -> Printf.printf "scheduling failed: %s\n" e
+    | Ok s ->
+        Printf.printf
+          "modulo schedule: II=%d (final MII %d), %d stages, occupancy %.2f\n"
+          s.Hca_sched.Modulo.ii final s.Hca_sched.Modulo.stages
+          s.Hca_sched.Modulo.occupancy
   in
   Cmd.v
     (Cmd.info "sched" ~doc:"Modulo-schedule the clusterised kernel end to end")
     Term.(const run $ kernel_arg $ fabric_term $ config_term)
 
 let simulate_cmd =
-  let run (name, f) fabric config iterations =
-    ignore name;
-    let ddg = f () in
-    let report = Report.run ~config fabric ddg in
-    match (report.Report.result, report.Report.final_mii) with
-    | Some res, Some final -> (
-        let exp = Postprocess.expand res in
-        let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
+  let run kernel fabric config iterations =
+    let ddg, _, { Hca_sched.Lower.expanded = exp; schedule } =
+      lowered kernel fabric config
+    in
+    match schedule with
+    | Error e -> Printf.printf "scheduling failed: %s\n" e
+    | Ok schedule -> (
         match
-          Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-            ~cn_of_instr:exp.Postprocess.cn_of_node
-            ~cns:(Dspfabric.total_cns fabric)
-            ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
+          Hca_sim.Machine_sim.check_against_reference ~iterations ~original:ddg
+            ~expanded:exp.Postprocess.ddg ~cn_of_node:exp.Postprocess.cn_of_node
+            ~schedule ()
         with
-        | Error e -> Printf.printf "scheduling failed: %s\n" e
-        | Ok schedule -> (
-            match
-              Hca_sim.Machine_sim.check_against_reference ~iterations
-                ~original:ddg ~expanded:exp.Postprocess.ddg
-                ~cn_of_node:exp.Postprocess.cn_of_node ~schedule ()
-            with
-            | Error e -> Printf.printf "simulation FAILED: %s\n" e
-            | Ok stats ->
-                Printf.printf
-                  "simulated %d iterations: trace matches the reference \
-                   (%d stores, %d cycles, %d dynamic instructions)\n"
-                  iterations
-                  (List.length stats.Hca_sim.Machine_sim.trace)
-                  stats.Hca_sim.Machine_sim.cycles
-                  stats.Hca_sim.Machine_sim.issued))
-    | _ ->
-        prerr_endline "clusterisation failed";
-        exit 1
+        | Error e -> Printf.printf "simulation FAILED: %s\n" e
+        | Ok stats ->
+            Printf.printf
+              "simulated %d iterations: trace matches the reference (%d \
+               stores, %d cycles, %d dynamic instructions)\n"
+              iterations
+              (List.length stats.Hca_sim.Machine_sim.trace)
+              stats.Hca_sim.Machine_sim.cycles stats.Hca_sim.Machine_sim.issued)
   in
   let iters =
     Arg.(
@@ -677,8 +662,7 @@ let rcp_cmd =
 
 let exact_cmd =
   let module O = Hca_exact.Oracle in
-  let run (name, f) fabric budget strict max_ii jobs no_hca no_reuse trace =
-    ignore jobs;
+  let run (name, f) fabric budget strict max_ii no_hca no_reuse trace =
     let ddg = f () in
     with_trace trace @@ fun () ->
     Format.printf "kernel %s on %s@." name (Dspfabric.name fabric);
@@ -766,7 +750,7 @@ let exact_cmd =
        ~doc:"Exact SAT-based cluster-assignment oracle (optimality gap)")
     Term.(
       const run $ kernel_arg $ fabric_term $ budget $ strict $ max_ii
-      $ jobs_term $ no_hca $ no_reuse $ trace_arg)
+      $ no_hca $ no_reuse $ trace_arg)
 
 let fuzz_cmd =
   let module G = Hca_gen.Gen in

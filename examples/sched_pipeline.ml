@@ -24,18 +24,24 @@ let () =
   let res = Option.get report.Report.result in
   let final = Option.get report.Report.final_mii in
 
-  (* Phase 2: iterative modulo scheduling on the clusterised DDG. *)
-  match
-    Modulo.run ~ddg ~cn_of_instr:res.Hierarchy.cn_of_instr
-      ~cns:(Dspfabric.total_cns fabric)
-      ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-  with
+  (* Phase 2: the receive expansion that closes HCA (§4.1), then
+     iterative modulo scheduling of the expanded DDG. *)
+  let { Lower.expanded; schedule } = Lower.run res ~final_mii:final in
+  let ddg_x = expanded.Postprocess.ddg
+  and cn_of_node = expanded.Postprocess.cn_of_node in
+  Printf.printf "expanded DDG: %d nodes (%d receives, %d forwards)\n"
+    (Hca_ddg.Ddg.size ddg_x) expanded.Postprocess.recv_count
+    expanded.Postprocess.forward_count;
+  match schedule with
   | Error e -> Printf.printf "scheduling failed: %s\n" e
   | Ok schedule ->
-      Printf.printf "modulo schedule: II=%d, %d stages, occupancy %.2f\n"
-        schedule.Modulo.ii schedule.Modulo.stages schedule.Modulo.occupancy;
-      (match Modulo.validate ~ddg ~cn_of_instr:res.Hierarchy.cn_of_instr
-               ~copy_latency:1 schedule
+      Printf.printf
+        "modulo schedule: II=%d (final MII %d), %d stages, occupancy %.2f\n"
+        schedule.Modulo.ii final schedule.Modulo.stages
+        schedule.Modulo.occupancy;
+      (match
+         Modulo.validate ~ddg:ddg_x ~cn_of_instr:cn_of_node
+           ~copy_latency:Lower.copy_latency schedule
        with
       | Ok () -> print_endline "schedule validated (dependences + resources)"
       | Error e -> Printf.printf "INVALID schedule: %s\n" e);
@@ -59,8 +65,8 @@ let () =
       (* Phase 4: register pressure, the cost factor the paper plans to
          fold into the HCA objective next. *)
       let rp =
-        Regpress.analyse ~ddg ~cn_of_instr:res.Hierarchy.cn_of_instr
-          ~copy_latency:1 schedule
+        Regpress.analyse ~ddg:ddg_x ~cn_of_instr:cn_of_node
+          ~copy_latency:Lower.copy_latency schedule
       in
       Printf.printf
         "register pressure: max %d simultaneous live values on a CN, total \

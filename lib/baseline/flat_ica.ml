@@ -12,21 +12,9 @@ type t = {
   error : string option;
 }
 
-let problem_of fabric ddg =
-  let cns = Dspfabric.total_cns fabric in
-  let leaf =
-    Dspfabric.level_view fabric ~level:(Dspfabric.depth fabric - 1)
-  in
-  let pg =
-    Pattern_graph.complete ~name:"flat-K64"
-      ~capacities:(Array.make cns Resource.cn)
-      ~max_in:leaf.Dspfabric.mux_capacity
-  in
-  Problem.of_ddg ~name:(Ddg.name ddg ^ ".flat") ~ddg ~pg ()
-
 let run ?(config = Config.default) fabric ddg =
   let t0 = Hca_util.Clock.now () in
-  let problem = problem_of fabric ddg in
+  let problem = Problem.flat fabric ddg in
   let lower = Mii.mii ddg (Dspfabric.resources fabric) in
   let explored = ref 0 in
   let rec climb ii last_error =

@@ -1,7 +1,8 @@
 (** Flat (non-hierarchical) Instruction Cluster Assignment: the
     strawman HCA replaces (§4, §7).
 
-    The whole machine is abstracted as one K{_64} Pattern Graph — every
+    The whole machine is abstracted as one complete Pattern Graph
+    ({!Hca_core.Problem.flat}: K{_64} on the reference machine) — every
     CN can potentially reach every other — with only the per-CN port
     limits as constraints, and a single SEE pass maps the entire DDG
     onto it.  This view is {e optimistic} (it forgets the MUX hierarchy,

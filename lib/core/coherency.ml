@@ -1,17 +1,6 @@
 open Hca_ddg
 open Hca_machine
 
-(* Mixed-radix decomposition of an absolute CN index into per-level
-   child indexes. *)
-let digits fabric cn =
-  let rec go cn level acc =
-    if level < 0 then acc
-    else
-      let children = (Dspfabric.level_view fabric ~level).Dspfabric.children in
-      go (cn / children) (level - 1) ((cn mod children) :: acc)
-  in
-  go cn (Dspfabric.depth fabric - 1) []
-
 let prefix l n = List.filteri (fun i _ -> i < n) l
 
 (* Does the recorded machine model physically carry [value] over the
@@ -96,7 +85,8 @@ let check_edge t (e : Ddg.edge) =
   and cn_v = t.Hierarchy.cn_of_instr.(e.dst) in
   if cn_u = cn_v then []
   else begin
-    let du = digits fabric cn_u and dv = digits fabric cn_v in
+    let du = Machine_desc.cn_path fabric cn_u
+    and dv = Machine_desc.cn_path fabric cn_v in
     let depth = Dspfabric.depth fabric in
     let rec lca_len i =
       if i >= depth then i

@@ -1,7 +1,6 @@
 type priority =
   | Affinity
   | Criticality
-  | Topological
   | Source_order
 
 type t = {
@@ -38,7 +37,6 @@ let greedy = { default with beam_width = 1; candidate_width = 1 }
 let priority_name = function
   | Affinity -> "affinity"
   | Criticality -> "criticality"
-  | Topological -> "topological"
   | Source_order -> "source-order"
 
 let pp ppf t =

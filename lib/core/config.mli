@@ -13,7 +13,6 @@ type priority =
           whole region on one cluster instead of tearing it across the
           capacity boundary *)
   | Criticality  (** decreasing height (longest path to a sink) *)
-  | Topological  (** producers before consumers *)
   | Source_order  (** DDG id order — the ablation strawman *)
 
 type t = {

@@ -142,14 +142,6 @@ let absolute_cn fabric path j =
   in
   (go 0 0 path * children (List.length path)) + j
 
-let take n l =
-  let rec go n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: tl -> x :: go (n - 1) tl
-  in
-  go n l
-
 let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
   Hca_obs.Obs.span "hierarchy.solve"
     ~args:[ ("kernel", Ddg.name ddg); ("ii", string_of_int ii) ]
@@ -375,7 +367,8 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
     (* Inter-level backtracking: when the best partial solution's
        subtree fails, fall back on the surviving beam alternatives. *)
     let candidates =
-      take config.Config.max_alternatives
+      List.filteri
+        (fun i _ -> i < config.Config.max_alternatives)
         (outcome.See.state :: outcome.See.alternatives)
     in
     let rec try_states last_error = function
@@ -466,16 +459,7 @@ let cn_count t cn =
    flow (from sibling CNs and from the wires coming down the
    hierarchy). *)
 let recv_count t cn =
-  let path_of_cn =
-    let rec go cn level acc =
-      if level < 0 then acc
-      else
-        let view = Dspfabric.level_view t.fabric ~level in
-        go (cn / view.Dspfabric.children) (level - 1)
-          ((cn mod view.Dspfabric.children) :: acc)
-    in
-    go cn (Dspfabric.depth t.fabric - 1) []
-  in
+  let path_of_cn = Machine_desc.cn_path t.fabric cn in
   match path_of_cn with
   | [] -> 0
   | _ -> (

@@ -8,20 +8,11 @@ type t = {
   forward_count : int;
 }
 
-let digits fabric cn =
-  let rec go cn level acc =
-    if level < 0 then acc
-    else
-      let children = (Dspfabric.level_view fabric ~level).Dspfabric.children in
-      go (cn / children) (level - 1) ((cn mod children) :: acc)
-  in
-  go cn (Dspfabric.depth fabric - 1) []
-
 let hop_distance (res : Hierarchy.t) ~src_cn ~dst_cn =
   if src_cn = dst_cn then 0
   else begin
-    let du = digits res.Hierarchy.fabric src_cn
-    and dv = digits res.Hierarchy.fabric dst_cn in
+    let du = Machine_desc.cn_path res.Hierarchy.fabric src_cn
+    and dv = Machine_desc.cn_path res.Hierarchy.fabric dst_cn in
     let depth = Dspfabric.depth res.Hierarchy.fabric in
     let rec lca i =
       if i >= depth then i

@@ -29,75 +29,25 @@ type t = {
   scc : int array;  (* recurrence-circuit id per node, -1 when trivial *)
 }
 
-(* Iterative Tarjan over the full edge set (loop-carried included):
-   only the circuits matter, so trivial components collapse to -1. *)
-let compute_sccs ~n ~succs ~edges =
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
-  let stack = ref [] in
-  let next_index = ref 0 in
-  let comp = Array.make n (-1) in
-  let next_comp = ref 0 in
-  let succ_ids u = List.map (fun e -> e.dst) succs.(u) in
-  let strongconnect v =
-    let work = ref [ (v, succ_ids v) ] in
-    index.(v) <- !next_index;
-    lowlink.(v) <- !next_index;
-    incr next_index;
-    stack := v :: !stack;
-    on_stack.(v) <- true;
-    while !work <> [] do
-      match !work with
-      | [] -> ()
-      | (u, ws) :: rest -> (
-          match ws with
-          | [] ->
-              work := rest;
-              (match rest with
-              | (p, _) :: _ -> lowlink.(p) <- min lowlink.(p) lowlink.(u)
-              | [] -> ());
-              if lowlink.(u) = index.(u) then begin
-                let members = ref [] in
-                let stop = ref false in
-                while not !stop do
-                  match !stack with
-                  | [] -> stop := true
-                  | w :: tl ->
-                      stack := tl;
-                      on_stack.(w) <- false;
-                      members := w :: !members;
-                      if w = u then stop := true
-                done;
-                let id = !next_comp in
-                incr next_comp;
-                List.iter (fun w -> comp.(w) <- id) !members
-              end
-          | w :: ws' ->
-              work := (u, ws') :: rest;
-              if index.(w) = -1 then begin
-                index.(w) <- !next_index;
-                lowlink.(w) <- !next_index;
-                incr next_index;
-                stack := w :: !stack;
-                on_stack.(w) <- true;
-                work := (w, succ_ids w) :: !work
-              end
-              else if on_stack.(w) then
-                lowlink.(u) <- min lowlink.(u) index.(w))
-    done
-  in
-  for v = 0 to n - 1 do
-    if index.(v) = -1 then strongconnect v
-  done;
-  (* Demote the trivial components: size one without a self loop. *)
-  let size = Array.make !next_comp 0 in
-  Array.iter (fun c -> size.(c) <- size.(c) + 1) comp;
-  let has_self = Array.make n false in
-  Array.iter (fun e -> if e.src = e.dst then has_self.(e.src) <- true) edges;
-  Array.mapi
-    (fun v c -> if size.(c) > 1 || has_self.(v) then c else -1)
-    comp
+(* The shared graph algorithms, over the successor lists [finish]
+   builds. *)
+module Algo = Graph_algo.Make (struct
+  type t = edge list array
+  type nonrec edge = edge
+  let size = Array.length
+  let succs = Array.get
+  let dst e = e.dst
+  let latency e = e.latency
+  let distance e = e.distance
+end)
+
+(* Only the circuits matter, so nodes on no circuit get -1. *)
+let circuit_ids succs =
+  let scc = Array.make (Array.length succs) (-1) in
+  Array.iteri
+    (fun c members -> List.iter (fun v -> scc.(v) <- c) members)
+    (Algo.nontrivial_sccs succs);
+  scc
 
 let finish ~name ~nodes ~edges ~pg ~max_in_ports =
   let nodes = Array.of_list (List.rev nodes) in
@@ -112,7 +62,7 @@ let finish ~name ~nodes ~edges ~pg ~max_in_ports =
     edges;
   Array.iteri (fun i l -> succs.(i) <- List.rev l) succs;
   Array.iteri (fun i l -> preds.(i) <- List.rev l) preds;
-  let scc = compute_sccs ~n ~succs ~edges in
+  let scc = circuit_ids succs in
   { name; nodes; edges; succs; preds; pg; max_in_ports; scc }
 
 let instr_node ~id (i : Instr.t) =
@@ -144,6 +94,19 @@ let of_ddg ~name ~ddg ~pg ?(max_in_ports = max_int) () =
            })
   in
   finish ~name ~nodes ~edges ~pg ~max_in_ports
+
+let flat machine ddg =
+  let cns = Machine_desc.total_cns machine in
+  let leaf =
+    Machine_desc.level_view machine ~level:(Machine_desc.depth machine - 1)
+  in
+  let pg =
+    Pattern_graph.complete
+      ~name:(Printf.sprintf "flat-K%d" cns)
+      ~capacities:(Array.init cns (Machine_desc.cn_table machine))
+      ~max_in:leaf.Machine_desc.mux_capacity
+  in
+  of_ddg ~name:(Ddg.name ddg ^ ".flat") ~ddg ~pg ()
 
 let of_working_set ~name ~ddg ~ws ~pg ?(max_in_ports = max_int) () =
   let in_ws = Hashtbl.create (List.length ws) in
@@ -326,56 +289,7 @@ let forwards t =
   Array.to_list t.nodes
   |> List.filter (fun n -> n.pinned = None && n.global = None)
 
-(* Longest path to a sink over distance-0 edges; the pseudo-node layer
-   cannot create cycles (ports only source or only sink values). *)
-let height t =
-  let n = size t in
-  let h = Array.make n 0 in
-  let state = Array.make n 0 in
-  let rec visit u =
-    if state.(u) = 1 then
-      (* Defensive: a malformed working set could smuggle a cycle in;
-         treat the back edge as height 0 rather than looping. *)
-      ()
-    else if state.(u) = 0 then begin
-      state.(u) <- 1;
-      List.iter
-        (fun e ->
-          if e.distance = 0 then begin
-            visit e.dst;
-            h.(u) <- max h.(u) (e.latency + h.(e.dst))
-          end)
-        t.succs.(u);
-      state.(u) <- 2
-    end
-  in
-  for u = 0 to n - 1 do
-    visit u
-  done;
-  h
-
-let depth t =
-  let n = size t in
-  let d = Array.make n 0 in
-  let state = Array.make n 0 in
-  let rec visit u =
-    if state.(u) = 1 then ()
-    else if state.(u) = 0 then begin
-      state.(u) <- 1;
-      List.iter
-        (fun e ->
-          if e.distance = 0 then begin
-            visit e.src;
-            d.(u) <- max d.(u) (d.(e.src) + e.latency)
-          end)
-        t.preds.(u);
-      state.(u) <- 2
-    end
-  in
-  for u = 0 to n - 1 do
-    visit u
-  done;
-  d
+let height t = Algo.height t.succs
 
 let scc_of t = t.scc
 

@@ -17,7 +17,8 @@
       between the input port holding the value and the output port.
 
     The same representation also hosts a whole-DDG, port-free problem
-    (level 0, the RCP, and the flat-ICA baseline). *)
+    (level 0, the RCP, and the flat view of the flat-ICA baseline and
+    the exact oracle). *)
 
 open Hca_ddg
 open Hca_machine
@@ -50,6 +51,13 @@ type t
 val of_ddg :
   name:string -> ddg:Ddg.t -> pg:Pattern_graph.t -> ?max_in_ports:int -> unit -> t
 (** Whole-graph problem over a port-free PG. *)
+
+val flat : Machine_desc.t -> Ddg.t -> t
+(** The flat (non-hierarchical) view of a whole machine: one PG node per
+    CN carrying that CN's own resource table ({!Machine_desc.cn_table}),
+    every CN reachable from every other, and only the per-CN port limit
+    (the leaf's incoming-wire count) as a wiring constraint.  The flat
+    ICA baseline searches this view and the exact oracle encodes it. *)
 
 val of_working_set :
   name:string ->
@@ -92,18 +100,16 @@ val forwards : t -> node list
 
 val height : t -> int array
 (** Longest latency-weighted intra-iteration path to any sink, the
-    criticality key of the priority list. *)
-
-val depth : t -> int array
-(** Longest latency-weighted intra-iteration path from any source: the
-    ASAP issue cycle, used by the topological priority order. *)
+    criticality key of the priority list ({!Hca_ddg.Graph_algo.S.height}
+    on the subproblem graph). *)
 
 val scc_of : t -> int array
 (** Recurrence-circuit membership: nodes in the same non-trivial
-    strongly connected component (over all edges, loop-carried included)
-    share an id; nodes on no circuit get [-1].  Cutting {e any} edge of
-    a circuit across clusters stretches MIIRec by the copy latency, so
-    both the cost function and the region clustering treat circuit
-    edges as high-affinity. *)
+    strongly connected component (over all edges, loop-carried included,
+    {!Hca_ddg.Graph_algo.S.nontrivial_sccs}) share an id; nodes on no
+    circuit get [-1].  Ids are only meaningful compared for equality.
+    Cutting {e any} edge of a circuit across clusters stretches MIIRec
+    by the copy latency, so both the cost function and the region
+    clustering treat circuit edges as high-affinity. *)
 
 val pp : Format.formatter -> t -> unit

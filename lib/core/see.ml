@@ -39,10 +39,6 @@ let priority_order config problem ~ii =
       let key id = (region.(id), group id, -h.(id), id) in
       (List.stable_sort (fun a b -> compare (key a) (key b)) free, Some region)
   | Config.Source_order -> (free, None)
-  | Config.Topological ->
-      (* Producers before consumers: ASAP cycle ascending, id tie-break. *)
-      let d = Problem.depth problem in
-      (List.stable_sort (fun a b -> compare (d.(a), a) (d.(b), b)) free, None)
   | Config.Criticality ->
       let h = Problem.height problem in
       (* Port feeders first (per port), then most critical first; ties:

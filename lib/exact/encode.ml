@@ -226,9 +226,9 @@ type incremental = {
   bounds : (int array * int) list;
 }
 
-let make ?(strict = false) ?reduce_start inst ~max_k =
+let make ?(strict = false) inst ~max_k =
   if max_k < 1 then invalid_arg "Encode.make: max_k must be >= 1";
-  let sat = Sat.create ?reduce_start () in
+  let sat = Sat.create () in
   let x, recv = structure sat inst in
   let bounds = ref [] in
   let bound lits mult =

@@ -77,11 +77,11 @@ type incremental = {
           such that the group's count must stay ≤ [mult]·k *)
 }
 
-val make : ?strict:bool -> ?reduce_start:int -> instance -> max_k:int -> incremental
+val make : ?strict:bool -> instance -> max_k:int -> incremental
 (** Builds the probe-many encoding.  [max_k] bounds the loosest probe
     ({!assumptions} refuses larger k); ladder widths are sized to it,
     so keep it at the first upper bound of the search (the heuristic
-    incumbent).  [reduce_start] is passed to {!Sat.create}.
+    incumbent).
     @raise Invalid_argument if [max_k < 1]. *)
 
 val assumptions : incremental -> k:int -> int list

@@ -32,28 +32,14 @@ type t = {
   error : string option;
 }
 
-let problem_of fabric ddg =
-  let cns = Dspfabric.total_cns fabric in
-  let leaf = Dspfabric.level_view fabric ~level:(Dspfabric.depth fabric - 1) in
-  let pg =
-    Pattern_graph.complete
-      ~name:(Printf.sprintf "exact-K%d" cns)
-      (* One PG node per CN, each with that CN's own table, so the
-         encoding covers heterogeneous descriptions too. *)
-      ~capacities:(Array.init cns (Machine_desc.cn_table fabric))
-      ~max_in:leaf.Dspfabric.mux_capacity
-  in
-  Problem.of_ddg ~name:(Ddg.name ddg ^ ".exact") ~ddg ~pg ()
-
 let run ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii ?incumbent
-    ?(reuse = true) ?reduce_start ?(jobs = 1) fabric ddg =
-  ignore jobs;
+    ?(reuse = true) fabric ddg =
   Hca_obs.Obs.span "oracle.run" ~args:[ ("kernel", Ddg.name ddg) ]
   @@ fun () ->
   let t0 = Hca_util.Clock.now () in
   let meter = Report.Alloc_meter.start () in
   let deadline = t0 +. budget_s in
-  let problem = problem_of fabric ddg in
+  let problem = Problem.flat fabric ddg in
   let inst = Encode.of_problem problem in
   let ini = Mii.mii ddg (Dspfabric.resources fabric) in
   let top =
@@ -73,7 +59,7 @@ let run ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii ?incumbent
      a set of assumption literals, so everything learned at one bound
      carries to the next (DESIGN.md §16). *)
   let inc =
-    if !lo <= !hi then Some (Encode.make ~strict ?reduce_start inst ~max_k:top)
+    if !lo <= !hi then Some (Encode.make ~strict inst ~max_k:top)
     else None
   in
   (match inc with

@@ -1,7 +1,9 @@
 (** The exact cluster-assignment oracle: provably optimal (or certified
     lower/upper bounded) flat ICA via the incremental CDCL solver.
 
-    The oracle encodes the instance {e once} ({!Encode.make}) and walks
+    The oracle encodes the flat view of the instance
+    ({!Hca_core.Problem.flat}, the one {!Hca_baseline.Flat_ica}
+    searches) {e once} ({!Encode.make}) and walks
     the cluster-MII bound [k] {e downward} from the heuristic incumbent
     (bisecting only while it has neither an incumbent nor a model),
     each probe a
@@ -28,7 +30,6 @@
 
 open Hca_ddg
 open Hca_machine
-open Hca_core
 
 type status = Optimal | Feasible | Timeout | Unsat
 
@@ -67,10 +68,6 @@ type t = {
   error : string option;
 }
 
-val problem_of : Dspfabric.t -> Ddg.t -> Problem.t
-(** The same flat K-view {!Hca_baseline.Flat_ica} searches: every CN
-    reachable from every other, per-CN port limits only. *)
-
 val run :
   ?strict:bool ->
   ?budget_s:float ->
@@ -78,8 +75,6 @@ val run :
   ?max_ii:int ->
   ?incumbent:int ->
   ?reuse:bool ->
-  ?reduce_start:int ->
-  ?jobs:int ->
   Dspfabric.t ->
   Ddg.t ->
   t
@@ -105,13 +100,10 @@ val run :
     [reuse = false] the learnt DB is dropped before each probe
     ({!Sat.clear_learnt}) — the control arm of the equivalence property
     tests.  Verdicts and certified bounds are identical either way,
-    only the work differs.  [reduce_start] tunes the clause-DB
-    reduction trigger (see {!Sat.create}).
+    only the work differs.
 
-    [jobs] is accepted for API compatibility and ignored: the probes of
-    one search now share a single solver (that sharing, not probe
-    parallelism, is where the PR-8 speedup comes from), so the verdict
-    is identical at every [jobs] by construction. *)
+    The probes of one search share a single solver and run one after
+    another on the calling domain. *)
 
 val status_to_string : status -> string
 

@@ -7,64 +7,6 @@ type entry = { name : string; instance : Gen.instance; expect : expectation }
 
 let ( let* ) = Result.bind
 
-let fabric_to_string fabric =
-  Printf.sprintf "fanouts=%s n=%d m=%d k=%d cn_in=%d dma=%d"
-    (String.concat ","
-       (List.map string_of_int (Array.to_list (Gen.fanouts_of fabric))))
-    (Dspfabric.n fabric) (Dspfabric.m fabric) (Dspfabric.k fabric)
-    (Gen.cn_in_wires_of fabric)
-    (Dspfabric.dma_ports fabric)
-
-let fabric_of_string s =
-  let fields =
-    String.split_on_char ' ' (String.trim s)
-    |> List.filter (fun f -> f <> "")
-  in
-  let tbl = Hashtbl.create 8 in
-  let* () =
-    List.fold_left
-      (fun acc kv ->
-        let* () = acc in
-        match String.index_opt kv '=' with
-        | None -> Error ("fabric: malformed field " ^ kv)
-        | Some i ->
-            Hashtbl.replace tbl (String.sub kv 0 i)
-              (String.sub kv (i + 1) (String.length kv - i - 1));
-            Ok ())
-      (Ok ()) fields
-  in
-  let int_field key =
-    match Hashtbl.find_opt tbl key with
-    | None -> Error ("fabric: missing " ^ key)
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some i -> Ok i
-        | None -> Error ("fabric: bad integer for " ^ key))
-  in
-  let* fanouts =
-    match Hashtbl.find_opt tbl "fanouts" with
-    | None -> Error "fabric: missing fanouts"
-    | Some v -> (
-        let parts = String.split_on_char ',' v in
-        match
-          List.fold_left
-            (fun acc p ->
-              match (acc, int_of_string_opt p) with
-              | Some l, Some i -> Some (i :: l)
-              | _ -> None)
-            (Some []) parts
-        with
-        | Some l -> Ok (Array.of_list (List.rev l))
-        | None -> Error "fabric: bad fanouts list")
-  in
-  let* n = int_field "n" in
-  let* m = int_field "m" in
-  let* k = int_field "k" in
-  let* cn_in = int_field "cn_in" in
-  let* dma = int_field "dma" in
-  try Ok (Dspfabric.make ~fanouts ~cn_in_wires:cn_in ~dma_ports:dma ~n ~m ~k ())
-  with Invalid_argument e -> Error e
-
 let expectation_to_string = function
   | Expect_ok -> "ok"
   | Expect_fail check -> "fail:" ^ check
@@ -90,78 +32,67 @@ let rec mkdir_p dir =
 let write ~dir ~name (inst : Gen.instance) expect =
   mkdir_p dir;
   Ddg_io.write_file (Filename.concat dir (name ^ ".ddg")) inst.Gen.ddg;
+  Out_channel.with_open_text
+    (Filename.concat dir (name ^ ".machine"))
+    (fun oc -> output_string oc (Machine_io.to_string inst.Gen.fabric));
   let oc = open_out (Filename.concat dir (name ^ ".repro")) in
   Printf.fprintf oc "# hca fuzz reproducer; replay with: hca fuzz --replay %s\n"
     dir;
   Printf.fprintf oc "seed %d\n" inst.Gen.seed;
   Printf.fprintf oc "ddg %s.ddg\n" name;
-  Printf.fprintf oc "fabric %s\n" (fabric_to_string inst.Gen.fabric);
+  Printf.fprintf oc "machine %s.machine\n" name;
   Printf.fprintf oc "expect %s\n" (expectation_to_string expect);
   close_out oc
 
 let read path =
-  let* lines =
-    try
-      let ic = open_in path in
-      let rec loop acc =
-        match input_line ic with
-        | line -> loop (line :: acc)
-        | exception End_of_file ->
-            close_in ic;
-            List.rev acc
-      in
-      Ok (loop [])
+  let* text =
+    try Ok (In_channel.with_open_text path In_channel.input_all)
     with Sys_error e -> Error e
   in
-  let name = Filename.remove_extension (Filename.basename path) in
-  let seed = ref None and ddg_file = ref None in
-  let fabric = ref None and expect = ref None in
-  let* () =
-    List.fold_left
-      (fun acc line ->
-        let* () = acc in
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then Ok ()
-        else
-          let key, rest =
-            match String.index_opt line ' ' with
-            | None -> (line, "")
-            | Some i ->
-                ( String.sub line 0 i,
-                  String.trim
-                    (String.sub line (i + 1) (String.length line - i - 1)) )
-          in
-          match key with
-          | "seed" -> (
-              match int_of_string_opt rest with
-              | Some s ->
-                  seed := Some s;
-                  Ok ()
-              | None -> Error (path ^ ": bad seed line"))
-          | "ddg" ->
-              ddg_file := Some rest;
-              Ok ()
-          | "fabric" ->
-              let* f = fabric_of_string rest in
-              fabric := Some f;
-              Ok ()
-          | "expect" ->
-              let* e = expectation_of_string rest in
-              expect := Some e;
-              Ok ()
-          | _ -> Error (path ^ ": unknown record " ^ key))
-      (Ok ()) lines
+  (* [key rest] records, the latest first, so a repeated key overrides. *)
+  let* records =
+    String.split_on_char '\n' text
+    |> List.map String.trim
+    |> List.filter (fun line -> line <> "" && line.[0] <> '#')
+    |> List.fold_left
+         (fun acc line ->
+           let* acc = acc in
+           let key, rest =
+             match String.index_opt line ' ' with
+             | None -> (line, "")
+             | Some i ->
+                 ( String.sub line 0 i,
+                   String.trim (String.sub line i (String.length line - i)) )
+           in
+           if List.mem key [ "seed"; "ddg"; "machine"; "expect" ] then
+             Ok ((key, rest) :: acc)
+           else Error (path ^ ": unknown record " ^ key))
+         (Ok [])
   in
-  let require what = function
-    | Some v -> Ok v
-    | None -> Error (path ^ ": missing " ^ what ^ " line")
+  let field key =
+    List.assoc_opt key records
+    |> Option.to_result ~none:(path ^ ": missing " ^ key ^ " line")
   in
-  let* seed = require "seed" !seed in
-  let* ddg_file = require "ddg" !ddg_file in
-  let* fabric = require "fabric" !fabric in
-  let* expect = require "expect" !expect in
-  let* ddg = Ddg_io.read_file (Filename.concat (Filename.dirname path) ddg_file) in
-  Ok { name; instance = { Gen.seed; ddg; fabric }; expect }
+  let sibling key =
+    Result.map (Filename.concat (Filename.dirname path)) (field key)
+  in
+  let* seed =
+    let* s = field "seed" in
+    Option.to_result ~none:(path ^ ": bad seed line") (int_of_string_opt s)
+  in
+  let* expect = Result.bind (field "expect") expectation_of_string in
+  let* ddg = Result.bind (sibling "ddg") Ddg_io.read_file in
+  let* machine_file = sibling "machine" in
+  let* fabric =
+    Machine_io.read_file machine_file
+    |> Result.map_error (fun e -> machine_file ^ ": " ^ e)
+  in
+  Ok
+    {
+      name = Filename.remove_extension (Filename.basename path);
+      instance = { Gen.seed; ddg; fabric };
+      expect;
+    }
 
 let load_dir dir =
   let* files =

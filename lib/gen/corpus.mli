@@ -1,12 +1,14 @@
 (** Replayable reproducers on disk: [<name>.ddg] (the kernel, in
-    {!Hca_ddg.Ddg_io} text format) next to [<name>.repro] (the machine,
-    the failing check and the expected verdict).
+    {!Hca_ddg.Ddg_io} text format) and [<name>.machine] (the machine, in
+    {!Hca_machine.Machine_io} format, so it reads back
+    {!Hca_machine.Machine_desc.equal} to what was written) next to
+    [<name>.repro] (the seed and the expected verdict).
 
     The [.repro] format is line-oriented, ['#'] comments allowed:
     {v
     seed 19
     ddg fuzz-seed19.ddg
-    fabric fanouts=2,2 n=4 m=4 k=4 cn_in=2 dma=8
+    machine fuzz-seed19.machine
     expect fail:coherency     (or: ok | gap:2)
     v}
 
@@ -24,19 +26,13 @@ type entry = {
   expect : expectation;
 }
 
-val fabric_to_string : Hca_machine.Dspfabric.t -> string
-(** ["fanouts=2,2 n=4 m=4 k=4 cn_in=2 dma=8"] — total, unlike
-    {!Hca_machine.Dspfabric.name}. *)
-
-val fabric_of_string : string -> (Hca_machine.Dspfabric.t, string) result
-
 val write : dir:string -> name:string -> Gen.instance -> expectation -> unit
-(** Writes [<dir>/<name>.ddg] and [<dir>/<name>.repro] (creates [dir]
-    when missing). *)
+(** Writes [<dir>/<name>.ddg], [<dir>/<name>.machine] and
+    [<dir>/<name>.repro] (creates [dir] when missing). *)
 
 val read : string -> (entry, string) result
-(** Loads one [.repro] file (the [ddg] line is resolved relative to the
-    [.repro]'s own directory). *)
+(** Loads one [.repro] file (the [ddg] and [machine] lines are resolved
+    relative to the [.repro]'s own directory). *)
 
 val load_dir : string -> (entry list, string) result
 (** Every [*.repro] under the directory, sorted by name; the first

@@ -43,38 +43,36 @@ let gap t =
   | Oracle_checked { achieved; optimum = Some o; _ } -> Some (achieved - o)
   | _ -> None
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: tl -> x :: take (n - 1) tl
-
-(* (a) the emitted configuration must satisfy the independent checkers. *)
+(* (a) the emitted configuration must satisfy the independent checkers;
+   its lowering (expansion + modulo schedule) feeds (c). *)
 let check_coherency fail report =
-  match report.Report.result with
-  | None ->
+  match (report.Report.result, report.Report.final_mii) with
+  | None, _ | _, None ->
       if report.Report.legal then
         fail "coherency" "report.legal = true without a result";
       None
-  | Some res ->
+  | Some res, Some final_mii ->
       (match Coherency.check res with
       | Ok () ->
           if not report.Report.legal then
             fail "coherency" "checker accepts but report.legal = false"
-      | Error msgs -> fail "coherency" (String.concat " | " (take 3 msgs)));
-      let expanded =
-        match Postprocess.expand res with
-        | exp -> Some exp
+      | Error msgs ->
+          fail "coherency"
+            (String.concat " | " (List.filteri (fun i _ -> i < 3) msgs)));
+      let lowered =
+        match Hca_sched.Lower.run res ~final_mii with
+        | l -> Some l
         | exception e ->
-            fail "postprocess" ("expand raised: " ^ Printexc.to_string e);
+            fail "postprocess" ("lowering raised: " ^ Printexc.to_string e);
             None
       in
-      (match expanded with
+      (match lowered with
       | None -> ()
-      | Some exp -> (
-          match Postprocess.validate exp res with
+      | Some l -> (
+          match Postprocess.validate l.Hca_sched.Lower.expanded res with
           | Ok () -> ()
           | Error m -> fail "postprocess" m));
-      expanded
+      lowered
 
 (* (b) the heuristic may never beat the oracle's certified bound. *)
 let check_oracle fail opts fabric ddg report =
@@ -87,7 +85,7 @@ let check_oracle fail opts fabric ddg report =
     | Some res -> (
         try
           let einst =
-            Hca_exact.Encode.of_problem (Hca_exact.Oracle.problem_of fabric ddg)
+            Hca_exact.Encode.of_problem (Problem.flat fabric ddg)
           in
           let projected =
             Hca_exact.Encode.cluster_mii_of_assignment einst
@@ -127,23 +125,13 @@ let check_oracle fail opts fabric ddg report =
           Oracle_skipped "exception")
 
 (* (c) scheduled + mapped execution against the reference interpreter. *)
-let check_semantics fail opts fabric ddg expanded final_mii =
-  match (expanded, final_mii) with
+let check_semantics fail opts ddg lowered final_mii =
+  match (lowered, final_mii) with
   | None, Some _ -> Sim_skipped "expand"
   | _, None -> Sim_skipped "infeasible"
-  | Some exp, Some start_ii -> (
-      let params =
-        { Hca_sched.Modulo.default_params with copy_latency = 0 }
-      in
-      match
-        Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-          ~cn_of_instr:exp.Postprocess.cn_of_node
-          ~cns:(Dspfabric.total_cns fabric)
-          ~dma_ports:(Dspfabric.dma_ports fabric)
-          ~start_ii ()
-      with
+  | Some { Hca_sched.Lower.expanded = exp; schedule }, Some _ -> (
+      match schedule with
       | Error e -> Sim_skipped ("sched: " ^ e)
-      | exception e -> Sim_skipped ("sched raised: " ^ Printexc.to_string e)
       | Ok schedule -> (
           match
             Hca_sim.Machine_sim.check_against_reference
@@ -201,9 +189,9 @@ let run ?(opts = default_opts) (inst : Gen.instance) =
   let fail check detail = failures := { check; detail } :: !failures in
   let report = Report.run ~jobs:opts.jobs fabric ddg in
   let feasible = report.Report.final_mii <> None in
-  let expanded = check_coherency fail report in
+  let lowered = check_coherency fail report in
   let oracle = check_oracle fail opts fabric ddg report in
-  let sim = check_semantics fail opts fabric ddg expanded report.Report.final_mii in
+  let sim = check_semantics fail opts ddg lowered report.Report.final_mii in
   check_invariance fail opts fabric ddg report;
   {
     instance = inst;

@@ -5,12 +5,14 @@
 
     - {b coherency} — {!Hca_core.Report.run} must produce configurations
       the independent {!Hca_core.Coherency} checker accepts, and the
-      receive expansion must pass {!Hca_core.Postprocess.validate};
+      receive expansion {!Hca_sched.Lower.run} lowers it to must pass
+      {!Hca_core.Postprocess.validate};
     - {b oracle} — on small instances the SAT oracle's certified lower
       bound must not exceed the heuristic's achieved flat projected MII
       ([heuristic < bound] is always a bug; equality with a proven
       optimum is reported as gap 0);
-    - {b semantics} — the scheduled, mapped kernel executed on
+    - {b semantics} — the kernel as {!Hca_sched.Lower.run} schedules
+      it, executed on
       {!Hca_sim.Machine_sim} must store bit-identical values to the
       {!Hca_sim.Interp} reference on the original DDG;
     - {b invariance} — {!Hca_core.Report.invariant_string} must be

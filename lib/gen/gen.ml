@@ -195,14 +195,6 @@ let fabric ?knobs ~seed () = desc ?knobs ~hetero:0. ~seed ()
 let instance ?ddg_knobs ?machine_knobs ~seed () =
   { seed; ddg = ddg ?knobs:ddg_knobs ~seed (); fabric = fabric ?knobs:machine_knobs ~seed () }
 
-let fanouts_of fabric =
-  Array.init (Dspfabric.depth fabric) (fun l ->
-      (Dspfabric.level_view fabric ~level:l).Dspfabric.children)
-
-let cn_in_wires_of fabric =
-  (Dspfabric.level_view fabric ~level:(Dspfabric.depth fabric - 1))
-    .Dspfabric.mux_capacity
-
 let needs_operand (op : Opcode.t) =
   match op with Const _ | Agen -> false | _ -> true
 

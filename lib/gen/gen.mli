@@ -81,15 +81,6 @@ val instance :
   ?ddg_knobs:ddg_knobs -> ?machine_knobs:machine_knobs -> seed:int -> unit ->
   instance
 
-val fanouts_of : Dspfabric.t -> int array
-(** Per-level fan-outs, recovered through {!Dspfabric.level_view} —
-    what {!Dspfabric.make} consumed; used by the shrinker and the
-    corpus serialiser. *)
-
-val cn_in_wires_of : Dspfabric.t -> int
-(** The leaf per-CN incoming-wire count (the [cn_in_wires] of
-    {!Dspfabric.make}). *)
-
 val well_formed : Ddg.t -> bool
 (** The invariant the generator guarantees and the shrinker preserves:
     every instruction whose opcode consumes an operand

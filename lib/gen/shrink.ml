@@ -1,48 +1,38 @@
 open Hca_ddg
 open Hca_machine
 
-let fanouts_of = Gen.fanouts_of
-
-let cn_in_wires_of = Gen.cn_in_wires_of
-
-let rebuild fabric ?fanouts ?n ?m ?k ?dma () =
-  let fanouts =
-    match fanouts with Some f -> f | None -> fanouts_of fabric
-  in
-  Dspfabric.make ~fanouts
-    ~cn_in_wires:(cn_in_wires_of fabric)
-    ~dma_ports:(Option.value dma ~default:(Dspfabric.dma_ports fabric))
-    ~n:(Option.value n ~default:(Dspfabric.n fabric))
-    ~m:(Option.value m ~default:(Dspfabric.m fabric))
-    ~k:(Option.value k ~default:(Dspfabric.k fabric))
-    ()
-
 let fabric_candidates fabric =
-  let fanouts = fanouts_of fabric in
+  let levels = Machine_desc.levels fabric in
+  let depth = Array.length levels in
+  let cap l = levels.(l).Machine_desc.mux_cap in
+  let fanouts = Array.map (fun (l : Machine_desc.level) -> l.fanout) levels in
+  (* A generated machine is a [Dspfabric.make] shape, read back from its
+     levels: N on level 0, K on the leaf, M on the levels in between. *)
+  let rebuild ?(fanouts = fanouts) ?(n = cap 0) ?(m = cap (min 1 (depth - 1)))
+      ?(k = cap (depth - 1)) ?(dma = Machine_desc.dma_ports fabric) () =
+    Dspfabric.make ~fanouts ~cn_in_wires:(Machine_desc.cn_in_wires fabric)
+      ~dma_ports:dma ~n ~m ~k ()
+  in
   let cands = ref [] in
   let add f = cands := f :: !cands in
   (* Fewer CNs first: drop the outermost level... *)
-  if Array.length fanouts > 2 then
-    add
-      (rebuild fabric
-         ~fanouts:(Array.sub fanouts 1 (Array.length fanouts - 1))
-         ());
+  if depth > 2 then
+    add (rebuild ~fanouts:(Array.sub fanouts 1 (depth - 1)) ());
   (* ... or reduce one fan-out towards the minimum of 2. *)
   Array.iteri
     (fun i f ->
       if f > 2 then begin
         let fo = Array.copy fanouts in
         fo.(i) <- 2;
-        add (rebuild fabric ~fanouts:fo ())
+        add (rebuild ~fanouts:fo ())
       end)
     fanouts;
   (* Capacity relaxation: a failure that survives on a roomier machine
      is a deeper bug, and the roomy instance is easier to stare at. *)
-  if Dspfabric.n fabric < 8 then add (rebuild fabric ~n:8 ());
-  if Dspfabric.m fabric < 8 && Dspfabric.depth fabric > 2 then
-    add (rebuild fabric ~m:8 ());
-  if Dspfabric.k fabric < 8 then add (rebuild fabric ~k:8 ());
-  if Dspfabric.dma_ports fabric < 8 then add (rebuild fabric ~dma:8 ());
+  if cap 0 < 8 then add (rebuild ~n:8 ());
+  if depth > 2 && cap 1 < 8 then add (rebuild ~m:8 ());
+  if cap (depth - 1) < 8 then add (rebuild ~k:8 ());
+  if Machine_desc.dma_ports fabric < 8 then add (rebuild ~dma:8 ());
   List.rev !cands
 
 (* Splice one node out, bypassing each producer->consumer pair through

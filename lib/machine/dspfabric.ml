@@ -32,12 +32,6 @@ let total_cns = Machine_desc.total_cns
 
 let depth = Machine_desc.depth
 
-let n t = (Machine_desc.levels t).(0).Machine_desc.mux_cap
-
-let m t = (Machine_desc.levels t).(min 1 (depth t - 1)).Machine_desc.mux_cap
-
-let k t = (Machine_desc.levels t).(depth t - 1).Machine_desc.mux_cap
-
 let dma_ports = Machine_desc.dma_ports
 
 let name = Machine_desc.name
@@ -59,5 +53,3 @@ let level_view = Machine_desc.level_view
 let child_capacities = Machine_desc.child_capacities
 
 let resources = Machine_desc.resources
-
-let pp = Machine_desc.pp

@@ -54,12 +54,6 @@ val depth : t -> int
 
 val total_cns : t -> int
 
-val n : t -> int
-
-val m : t -> int
-
-val k : t -> int
-
 val dma_ports : t -> int
 
 (** Re-export of {!Machine_desc.level_view}: everything the per-level
@@ -91,5 +85,3 @@ val child_capacities : t -> path:int list -> Resource.t array
 
 val resources : t -> Hca_ddg.Mii.resources
 (** Whole-machine capacities for the level-0 / unified MIIRes. *)
-
-val pp : Format.formatter -> t -> unit

@@ -134,6 +134,15 @@ let level_view t ~level =
     is_leaf;
   }
 
+let cn_path t cn =
+  let rec go cn level acc =
+    if level < 0 then acc
+    else
+      let f = t.levels.(level).fanout in
+      go (cn / f) (level - 1) ((cn mod f) :: acc)
+  in
+  go cn (depth t - 1) []
+
 let child_capacities t ~path =
   let level = List.length path in
   if level >= depth t then

@@ -106,6 +106,11 @@ type level_view = {
 val level_view : t -> level:int -> level_view
 (** @raise Invalid_argument if [level] is out of range. *)
 
+val cn_path : t -> int -> int list
+(** The child index at each level, top-down, that leads from the root
+    to the CN of the given absolute index (its last element is the CN's
+    index inside its leaf cluster). *)
+
 val child_capacities : t -> path:int list -> Resource.t array
 (** Resource tables of the children of the cluster reached by [path]
     from the root ([path = []] is the root itself; element [i] picks the

@@ -3,11 +3,17 @@
     here so the reproduction can {e validate} that the MII reported by
     HCA is actually achievable by a schedule.
 
-    The scheduler works on the original DDG plus the cluster assignment:
-    an edge between instructions on different CNs pays [copy_latency]
-    extra cycles and charges the receive on the consumer's CN implicitly
-    through its issue slot.  Resources are the per-CN single issue slots
-    and the shared DMA ports, tracked in a {!Mrt.t}. *)
+    The scheduler takes a DDG and a CN per instruction.  Resources are
+    the per-CN single issue slots and the shared DMA ports, tracked in a
+    {!Mrt.t}; an edge between instructions on different CNs pays
+    [params.copy_latency] extra cycles.
+
+    An HCA result is scheduled through {!Lower.run}, not here directly:
+    it schedules the {e expanded} DDG of {!Hca_core.Postprocess}, where
+    every receive is a real instruction on its CN and the transport
+    latency already sits on the producer->receive edge, so it runs with
+    [copy_latency = 0].  The default of 1 serves hand-built graphs whose
+    inter-CN edges carry no receive. *)
 
 open Hca_ddg
 

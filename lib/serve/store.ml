@@ -10,10 +10,18 @@ let magic = "HCA-MEMO-STORE"
    v4: memo keys carry [Ddg.content_id] beside the kernel name, and
    [Ddg.t] (inside every entry) gained the id field.
    v5: [Hierarchy.subresult] lost [outcome], the SEE's final beam that
-   every entry used to carry beside its committed state. *)
-let format_version = "v5"
+   every entry used to carry beside its committed state.
+   v6: [Config.priority] lost its [Topological] constructor, and the
+   stamp beside the version became a digest of the sources instead of
+   the working directory's git state. *)
+let format_version = "v6"
 
-let default_stamp () = Hca_util.Stamp.store_stamp ~extra:format_version ()
+(* Memo entries embed solver-internal structures, so any code change
+   can silently change their meaning: the stamp ties a file to the
+   sources that built its reader.  The digest is fixed at build time
+   (lib/util/dune), so computing the stamp spawns and reads nothing. *)
+let default_stamp () =
+  Printf.sprintf "hca-store:%s:%s" Hca_util.Source_digest.value format_version
 
 let save ~path ~stamp snapshot =
   let tmp = path ^ ".tmp" in

@@ -4,21 +4,25 @@
 
     Format: a text header — magic line, then the invalidation stamp on
     its own line — followed by the [Marshal]led
-    {!Hca_core.Hierarchy.snapshot}.  The stamp (see
-    {!Hca_util.Stamp.store_stamp}) ties the file to the exact code tree
-    and store format that wrote it: memo entries embed solver-internal
-    structures whose meaning drifts with any code change, so a stale
-    stamp means the whole file is discarded ([Ok None]), never read.
+    {!Hca_core.Hierarchy.snapshot}.  The stamp ({!default_stamp}) ties
+    the file to the exact sources and store format that wrote it: memo
+    entries embed solver-internal structures whose meaning drifts with
+    any code change, so a stale stamp means the whole file is discarded
+    ([Ok None]), never read.
 
     Writes are atomic (temp file + [rename]), so a crash mid-flush
     leaves the previous store intact. *)
 
 val format_version : string
-(** Fold into the stamp via [Stamp.store_stamp ~extra] so a layout
-    change invalidates old files even on the same git tree. *)
+(** Part of the stamp, so a layout change is spelled out beside the
+    source digest. *)
 
 val default_stamp : unit -> string
-(** [Stamp.store_stamp ~extra:format_version ()]. *)
+(** ["hca-store:<digest>:<format_version>"], where the digest covers
+    every source file under [lib/] and is taken when the library is
+    built: two builds of different sources never share a stamp, and one
+    build has the same stamp in every working directory.  Computing it
+    starts no process and reads no file. *)
 
 val save :
   path:string ->

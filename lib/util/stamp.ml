@@ -20,10 +20,3 @@ let git_describe =
         v
 
 let hash v = Printf.sprintf "%08x" (Hashtbl.hash v land 0xffffffff)
-
-(* Memo entries embed solver-internal structures, so any code change
-   can silently change their meaning: the store key ties a file to the
-   exact tree that wrote it.  [extra] folds in caller state that must
-   also invalidate (e.g. a store-format bump). *)
-let store_stamp ?(extra = "") () =
-  Printf.sprintf "hca-store:%s:%s" (git_describe ()) extra

@@ -2,16 +2,11 @@
     be correlated after the fact. *)
 
 val git_describe : unit -> string
-(** [git describe --always --dirty] of the working tree, computed once;
-    ["unknown"] when git or the repository is unavailable. *)
+(** [git describe --always --dirty] of the working directory's
+    checkout, computed once; ["unknown"] when git or the repository is
+    unavailable.  A label for bench rows and trace metadata only: it
+    names the checkout, not the build. *)
 
 val hash : 'a -> string
 (** Stable-in-process structural fingerprint as 8 hex digits, for
     tagging rows with the configuration they were produced under. *)
-
-val store_stamp : ?extra:string -> unit -> string
-(** Invalidation key of on-disk caches whose entries are only
-    meaningful to the code that wrote them: the {!git_describe} of the
-    tree plus any caller-supplied [extra] (format version, config
-    hash).  A persistent memo store whose recorded stamp differs from
-    the current one is discarded as stale, never read. *)

@@ -41,6 +41,32 @@ let test_flat_ica_violations_detected () =
       let v = Flat_ica.hierarchy_violations fabric outcome in
       Alcotest.(check bool) "non-negative" true (v >= 0)
 
+(* The flat view is the machine's own: on a heterogeneous description
+   every CN of the complete PG flat ICA searches carries that CN's
+   resource table, as in the oracle's encoding of the same view. *)
+let test_flat_view_keeps_cn_tables () =
+  let machine = Hca_gen.Gen.desc ~hetero:1.0 ~seed:3 () in
+  Alcotest.(check bool) "heterogeneous" false (Machine_desc.is_uniform machine);
+  let ddg = Hca_gen.Gen.ddg ~seed:3 () in
+  let capacities pg =
+    List.map
+      (fun (nd : Pattern_graph.node) -> nd.capacity)
+      (Pattern_graph.regular_nodes pg)
+  in
+  let tables = Array.to_list (Machine_desc.tables machine) in
+  Alcotest.(check bool) "Problem.flat capacities = CN tables" true
+    (capacities (Hca_core.Problem.pg (Hca_core.Problem.flat machine ddg))
+    = tables);
+  let res = Flat_ica.run ~config:Hca_core.Config.greedy machine ddg in
+  match res.Flat_ica.outcome with
+  | None ->
+      Alcotest.failf "flat ICA failed: %s"
+        (Option.value ~default:"?" res.Flat_ica.error)
+  | Some outcome ->
+      let flow = Hca_core.State.flow outcome.Hca_core.See.state in
+      Alcotest.(check bool) "searched capacities = CN tables" true
+        (capacities (Copy_flow.pg flow) = tables)
+
 (* Hand-built outcome with a known violation count: two producers in
    different level-0 sets both feeding one consumer in a third set.
    With every MUX capacity forced to 1, the consumer's set pulls from
@@ -170,6 +196,8 @@ let () =
             test_hierarchy_violations_counted;
           Alcotest.test_case "violations none when wide" `Quick
             test_hierarchy_violations_none_when_wide;
+          Alcotest.test_case "flat view keeps CN tables" `Quick
+            test_flat_view_keeps_cn_tables;
         ] );
       ( "random",
         [

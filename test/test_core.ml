@@ -97,9 +97,64 @@ let test_problem_orphan_output_fails () =
 
 let test_problem_height_depth () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(diamond ()) ~pg:(complete4 ()) () in
-  let h = Problem.height p and d = Problem.depth p in
-  Alcotest.(check int) "height of a" 2 h.(0);
-  Alcotest.(check int) "depth of d" 2 d.(3)
+  let h = Problem.height p in
+  Alcotest.(check int) "height of a" 2 h.(0)
+
+(* [Problem] runs on [Graph_algo.Make]; [Problem_ref] keeps the walks it
+   used to carry.  Circuit ids are only ever compared for equality, so
+   two id arrays agree when they describe the same partition: the same
+   nodes off every circuit, and a bijection between the ids of the
+   rest. *)
+let same_partition a b =
+  let fwd = Hashtbl.create 8 and bwd = Hashtbl.create 8 in
+  let maps tbl x y =
+    match Hashtbl.find_opt tbl x with
+    | Some y' -> y' = y
+    | None ->
+        Hashtbl.replace tbl x y;
+        true
+  in
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y ->
+         if x = -1 || y = -1 then x = y else maps fwd x y && maps bwd y x)
+       a b
+
+let agrees_with_ref p =
+  Problem.height p = Problem_ref.height p
+  && same_partition (Problem.scc_of p) (Problem_ref.scc_of p)
+
+let prop_problem_walks_subresults =
+  QCheck.Test.make ~count:25
+    ~name:"heights and circuits equal the reference walks on every subproblem"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      let fabric = Dspfabric.make ~fanouts:[| 2; 2; 2 |] ~n:4 ~m:4 ~k:4 () in
+      let root = Problem.of_ddg ~name:"root" ~ddg ~pg:(complete4 ()) () in
+      agrees_with_ref root
+      &&
+      match (Report.run ~jobs:1 fabric ddg).Report.result with
+      | None -> true
+      | Some res ->
+          List.for_all
+            (fun (sub : Hierarchy.subresult) -> agrees_with_ref sub.problem)
+            (Hierarchy.subresults res))
+
+let test_problem_walks_extended_roots () =
+  List.iter
+    (fun (name, f) ->
+      let ddg = f () in
+      let p = Problem.of_ddg ~name ~ddg ~pg:(complete4 ()) () in
+      Alcotest.(check (array int)) (name ^ " height") (Problem_ref.height p)
+        (Problem.height p);
+      Alcotest.(check bool) (name ^ " circuits") true
+        (same_partition (Problem_ref.scc_of p) (Problem.scc_of p));
+      (* A port-free problem is the kernel itself: the reference depth
+         walk is the kernel's ASAP cycle. *)
+      Alcotest.(check (array int)) (name ^ " depth") (Graph_algo.depth ddg)
+        (Problem_ref.depth p))
+    Hca_kernels.Registry.extended
 
 (* --- state ---------------------------------------------------------- *)
 
@@ -335,7 +390,7 @@ let test_see_priority_modes () =
       match See.solve ~config p ~ii:4 with
       | Ok o -> Alcotest.(check bool) "complete" true (State.is_complete o.See.state)
       | Error e -> Alcotest.failf "priority mode failed: %s" e)
-    [ Config.Affinity; Config.Criticality; Config.Topological; Config.Source_order ]
+    [ Config.Affinity; Config.Criticality; Config.Source_order ]
 
 (* --- regions ----------------------------------------------------------- *)
 
@@ -789,6 +844,9 @@ let () =
           Alcotest.test_case "pass-through" `Quick test_problem_pass_through_forward;
           Alcotest.test_case "orphan output" `Quick test_problem_orphan_output_fails;
           Alcotest.test_case "height/depth" `Quick test_problem_height_depth;
+          Alcotest.test_case "walks on extended roots" `Quick
+            test_problem_walks_extended_roots;
+          QCheck_alcotest.to_alcotest prop_problem_walks_subresults;
         ] );
       ( "state",
         [

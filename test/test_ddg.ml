@@ -181,11 +181,6 @@ let test_depth_height_critical_path () =
   Alcotest.(check int) "height of tail" 0 h.(3);
   Alcotest.(check int) "critical path" 3 (Graph_algo.critical_path g)
 
-let test_slack_zero_on_critical () =
-  let g = chain 4 in
-  let s = Graph_algo.slack g in
-  Array.iter (fun x -> Alcotest.(check int) "slack" 0 x) s
-
 let test_sccs_cycle () =
   let g = cycle 4 in
   let comps = Graph_algo.nontrivial_sccs g in
@@ -380,7 +375,6 @@ let () =
         [
           Alcotest.test_case "topological" `Quick test_topological_order;
           Alcotest.test_case "depth/height/cp" `Quick test_depth_height_critical_path;
-          Alcotest.test_case "slack" `Quick test_slack_zero_on_critical;
           Alcotest.test_case "scc cycle" `Quick test_sccs_cycle;
           Alcotest.test_case "scc dag" `Quick test_sccs_dag_trivial;
           Alcotest.test_case "self loop" `Quick test_self_loop_scc;

@@ -175,7 +175,7 @@ let test_oracle_strict_no_better () =
   | _ -> Alcotest.fail "both searches should conclude on 4 nodes"
 
 let test_encode_model_checks () =
-  let problem = Oracle.problem_of small_fabric (chain4 ()) in
+  let problem = Hca_core.Problem.flat small_fabric (chain4 ()) in
   let inst = Encode.of_problem problem in
   let enc = Encode.encode inst ~k:2 in
   Alcotest.check result "k=2 sat" Sat.Sat (Sat.solve enc.Encode.sat);
@@ -243,7 +243,7 @@ let test_incremental_vs_fresh () =
     (fun seed ->
       let ddg = Hca_gen.Gen.ddg ~seed () in
       let fabric = Hca_gen.Gen.fabric ~seed () in
-      let inst = Encode.of_problem (Oracle.problem_of fabric ddg) in
+      let inst = Encode.of_problem (Hca_core.Problem.flat fabric ddg) in
       let max_k = min 6 (Encode.size inst) in
       let fresh, inc_reuse, inc_noreuse = probe_every_k inst ~max_k in
       let check_against label =
@@ -344,7 +344,7 @@ let test_model_check_after_reduction () =
 let test_probe_epoch_stats () =
   (* Two probes of the same instance: the second must fire clauses the
      first learned.  chain4 at k=1 is a refutation with real learning. *)
-  let inst = Encode.of_problem (Oracle.problem_of small_fabric (chain4 ())) in
+  let inst = Encode.of_problem (Hca_core.Problem.flat small_fabric (chain4 ())) in
   let inc = Encode.make inst ~max_k:4 in
   let sat = inc.Encode.enc.Encode.sat in
   Sat.new_probe sat;

@@ -3,6 +3,7 @@
    Everything here is seeded — a failure reproduces verbatim. *)
 
 open Hca_ddg
+open Hca_machine
 open Hca_gen
 
 (* --- generator ---------------------------------------------------------- *)
@@ -13,13 +14,15 @@ let test_generator_deterministic () =
     "same seed, same kernel"
     (Ddg_io.to_string a.Gen.ddg)
     (Ddg_io.to_string b.Gen.ddg);
-  Alcotest.(check string)
-    "same seed, same machine"
-    (Corpus.fabric_to_string a.Gen.fabric)
-    (Corpus.fabric_to_string b.Gen.fabric);
+  Alcotest.(check bool)
+    "same seed, same machine" true
+    (Machine_desc.equal a.Gen.fabric b.Gen.fabric);
   let c = Gen.instance ~seed:43 () in
   Alcotest.(check bool) "different seed, different kernel" false
     (Ddg_io.to_string a.Gen.ddg = Ddg_io.to_string c.Gen.ddg)
+
+let fanouts m =
+  Array.map (fun (l : Machine_desc.level) -> l.fanout) (Machine_desc.levels m)
 
 let seed_arb = QCheck.make ~print:string_of_int QCheck.Gen.(int_bound 100_000)
 
@@ -39,10 +42,10 @@ let prop_generated_fabric_sane =
   QCheck.Test.make ~name:"generated machines expose their knobs" ~count:100
     seed_arb (fun seed ->
       let f = Gen.fabric ~seed () in
-      let fanouts = Gen.fanouts_of f in
+      let fanouts = fanouts f in
       Array.length fanouts >= 2
       && Array.for_all (fun x -> x >= 2) fanouts
-      && Gen.cn_in_wires_of f >= 1)
+      && Machine_desc.cn_in_wires f >= 1)
 
 let prop_roundtrip_exact =
   QCheck.Test.make ~name:"Ddg_io round-trips generated kernels exactly"
@@ -65,21 +68,36 @@ let test_roundtrip_weird_names () =
   | Ok g' -> Alcotest.(check bool) "exact round-trip" true (Ddg.equal_exact g g')
   | Error e -> Alcotest.fail e
 
+(* A reproducer must replay the instance it was written from: the
+   machine read back is [Machine_desc.equal] to the one written (name,
+   per-level capacities and per-CN tables included), on every generated
+   shape and on a heterogeneous 4-level description. *)
 let test_corpus_roundtrip_file () =
-  let inst = Gen.instance ~seed:7 () in
   let dir = "tmp-corpus-roundtrip" in
-  Corpus.write ~dir ~name:"probe" inst (Corpus.Expect_gap 2);
-  match Corpus.read (Filename.concat dir "probe.repro") with
-  | Error e -> Alcotest.fail e
-  | Ok entry ->
-      Alcotest.(check bool) "kernel identical" true
-        (Ddg.equal_exact inst.Gen.ddg entry.Corpus.instance.Gen.ddg);
-      Alcotest.(check string)
-        "machine identical"
-        (Corpus.fabric_to_string inst.Gen.fabric)
-        (Corpus.fabric_to_string entry.Corpus.instance.Gen.fabric);
-      Alcotest.(check bool) "expectation preserved" true
-        (entry.Corpus.expect = Corpus.Expect_gap 2)
+  let roundtrip what (inst : Gen.instance) =
+    Corpus.write ~dir ~name:"probe" inst (Corpus.Expect_gap 2);
+    match Corpus.read (Filename.concat dir "probe.repro") with
+    | Error e -> Alcotest.failf "%s: %s" what e
+    | Ok entry ->
+        Alcotest.(check bool) (what ^ ": kernel identical") true
+          (Ddg.equal_exact inst.Gen.ddg entry.Corpus.instance.Gen.ddg);
+        Alcotest.(check bool) (what ^ ": machine identical") true
+          (Machine_desc.equal inst.Gen.fabric entry.Corpus.instance.Gen.fabric);
+        Alcotest.(check bool) (what ^ ": expectation preserved") true
+          (entry.Corpus.expect = Corpus.Expect_gap 2)
+  in
+  for seed = 0 to 199 do
+    roundtrip (Printf.sprintf "fabric seed %d" seed) (Gen.instance ~seed ())
+  done;
+  let hetero =
+    Gen.desc
+      ~knobs:
+        { Gen.default_machine_knobs with fanout_choices = [| [| 2; 2; 2; 2 |] |] }
+      ~hetero:1.0 ~seed:7 ()
+  in
+  Alcotest.(check int) "4 levels" 4 (Machine_desc.depth hetero);
+  Alcotest.(check bool) "heterogeneous" false (Machine_desc.is_uniform hetero);
+  roundtrip "heterogeneous" { (Gen.instance ~seed:7 ()) with Gen.fabric = hetero }
 
 (* --- shrinker ----------------------------------------------------------- *)
 
@@ -98,7 +116,7 @@ let test_shrinker_minimizes () =
   Alcotest.(check int) "two nodes left" 2 (Ddg.size small.Gen.ddg);
   Alcotest.(check (array int))
     "machine collapsed to the smallest shape" [| 2; 2 |]
-    (Gen.fanouts_of small.Gen.fabric);
+    (fanouts small.Gen.fabric);
   (* Fixpoint: no accepted one-step reduction remains. *)
   Alcotest.(check bool) "no smaller candidate" true
     (List.for_all

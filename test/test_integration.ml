@@ -123,15 +123,10 @@ let prop_pipeline_preserves_semantics =
       let report = run_hca ddg in
       match (report.Report.result, report.Report.final_mii) with
       | Some res, Some final -> (
-          let exp = Postprocess.expand res in
-          let params =
-            { Hca_sched.Modulo.default_params with copy_latency = 0 }
+          let { Hca_sched.Lower.expanded = exp; schedule } =
+            Hca_sched.Lower.run res ~final_mii:final
           in
-          match
-            Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-              ~cn_of_instr:exp.Postprocess.cn_of_node ~cns:64 ~dma_ports:8
-              ~start_ii:final ()
-          with
+          match schedule with
           | Error _ -> true (* unschedulable synthetic shapes are not the property *)
           | Ok schedule -> (
               match
@@ -181,11 +176,7 @@ let test_schedule_validates_hca_mii () =
   let report = run_hca ddg in
   match (report.Report.result, report.Report.final_mii) with
   | Some res, Some final -> (
-      match
-        Hca_sched.Modulo.run ~ddg ~cn_of_instr:res.Hierarchy.cn_of_instr
-          ~cns:(Dspfabric.total_cns reference)
-          ~dma_ports:(Dspfabric.dma_ports reference) ~start_ii:final ()
-      with
+      match (Hca_sched.Lower.run res ~final_mii:final).schedule with
       | Error e -> Alcotest.fail e
       | Ok s ->
           Alcotest.(check bool) "within 3x of final MII" true

@@ -172,8 +172,9 @@ let test_fabric_reference () =
   let f = Dspfabric.reference in
   Alcotest.(check int) "64 CNs" 64 (Dspfabric.total_cns f);
   Alcotest.(check int) "3 levels" 3 (Dspfabric.depth f);
-  Alcotest.(check int) "N" 8 (Dspfabric.n f);
-  Alcotest.(check int) "K" 8 (Dspfabric.k f);
+  let levels = Machine_desc.levels f in
+  Alcotest.(check int) "N" 8 levels.(0).Machine_desc.mux_cap;
+  Alcotest.(check int) "K" 8 levels.(2).Machine_desc.mux_cap;
   Alcotest.(check int) "dma" 8 (Dspfabric.dma_ports f)
 
 let test_fabric_level_views () =

@@ -63,18 +63,14 @@ let test_hop_distance () =
 
 let test_expanded_schedulable () =
   let _, report, res = Lazy.force solved_fir2dim in
-  let exp = Postprocess.expand res in
-  let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-  match
-    Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-      ~cn_of_instr:exp.Postprocess.cn_of_node ~cns:64 ~dma_ports:8
-      ~start_ii:(Option.get report.Report.final_mii) ()
-  with
-  | Error e -> Alcotest.fail e
-  | Ok s ->
+  let final_mii = Option.get report.Report.final_mii in
+  match Hca_sched.Lower.run res ~final_mii with
+  | { schedule = Error e; _ } -> Alcotest.fail e
+  | { expanded = exp; schedule = Ok s } ->
       Alcotest.(check bool) "valid" true
         (Hca_sched.Modulo.validate ~ddg:exp.Postprocess.ddg
-           ~cn_of_instr:exp.Postprocess.cn_of_node ~copy_latency:0 s
+           ~cn_of_instr:exp.Postprocess.cn_of_node
+           ~copy_latency:Hca_sched.Lower.copy_latency s
         = Ok ())
 
 (* --- topology --------------------------------------------------------- *)

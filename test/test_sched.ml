@@ -121,24 +121,18 @@ let test_modulo_schedules_hca_output () =
   let fabric = Hca_machine.Dspfabric.reference in
   let ddg = Hca_kernels.Fir2dim.ddg () in
   let report = Hca_core.Report.run fabric ddg in
-  match report.Hca_core.Report.result with
-  | None -> Alcotest.fail "fir2dim must clusterise"
-  | Some res -> (
-      match
-        Modulo.run ~ddg ~cn_of_instr:res.Hca_core.Hierarchy.cn_of_instr
-          ~cns:(Hca_machine.Dspfabric.total_cns fabric)
-          ~dma_ports:(Hca_machine.Dspfabric.dma_ports fabric)
-          ~start_ii:(Option.get report.Hca_core.Report.final_mii)
-          ()
-      with
-      | Error e -> Alcotest.fail e
-      | Ok s ->
+  match (report.Hca_core.Report.result, report.Hca_core.Report.final_mii) with
+  | Some res, Some final_mii -> (
+      match Lower.run res ~final_mii with
+      | { schedule = Error e; _ } -> Alcotest.fail e
+      | { expanded; schedule = Ok s } ->
           Alcotest.(check bool) "valid schedule" true
-            (Modulo.validate ~ddg ~cn_of_instr:res.Hca_core.Hierarchy.cn_of_instr
-               ~copy_latency:1 s
+            (Modulo.validate ~ddg:expanded.Hca_core.Postprocess.ddg
+               ~cn_of_instr:expanded.Hca_core.Postprocess.cn_of_node
+               ~copy_latency:Lower.copy_latency s
             = Ok ());
-          Alcotest.(check bool) "ii >= final MII" true
-            (s.Modulo.ii >= Option.get report.Hca_core.Report.final_mii))
+          Alcotest.(check bool) "ii >= final MII" true (s.Modulo.ii >= final_mii))
+  | _ -> Alcotest.fail "fir2dim must clusterise"
 
 (* --- koms -------------------------------------------------------------- *)
 

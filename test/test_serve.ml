@@ -495,6 +495,35 @@ let test_store_stale_stamp_invalidation () =
   | _ -> Alcotest.fail "expected stale rejection");
   Sys.remove path
 
+(* The default stamp names the build, not the working directory: an
+   [hca serve] started inside the checkout and one started outside any
+   checkout report the same stamp, so neither discards the other's
+   store. *)
+let test_store_stamp_independent_of_cwd () =
+  let hca =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hca_cli.exe"
+  in
+  let stamp_from dir =
+    let here = Sys.getcwd () in
+    Sys.chdir dir;
+    let ic, oc =
+      Fun.protect
+        ~finally:(fun () -> Sys.chdir here)
+        (fun () -> Unix.open_process_args hca [| hca; "serve"; "--stdio" |])
+    in
+    output_string oc "{\"verb\":\"stats\"}\n";
+    close_out oc;
+    let line = input_line ic in
+    ignore (Unix.close_process (ic, oc));
+    match Option.bind (Result.to_option (Json.parse line)) (Json.member "stamp") with
+    | Some (Json.Str stamp) -> stamp
+    | _ -> Alcotest.failf "no stamp in %s" line
+  in
+  let inside = stamp_from (Sys.getcwd ()) in
+  let outside = stamp_from (Filename.get_temp_dir_name ()) in
+  Alcotest.(check string) "same stamp in and outside the checkout" inside outside;
+  Alcotest.(check string) "the library's default" (Store.default_stamp ()) inside
+
 let test_store_corrupt_and_missing () =
   let path = tmp_store "corrupt" in
   (match Store.load ~path:(path ^ ".nope") ~stamp:"s" with
@@ -750,6 +779,8 @@ let () =
             test_store_stale_stamp_invalidation;
           Alcotest.test_case "corrupt and missing" `Quick
             test_store_corrupt_and_missing;
+          Alcotest.test_case "stamp independent of cwd" `Quick
+            test_store_stamp_independent_of_cwd;
         ] );
       ( "telemetry",
         [

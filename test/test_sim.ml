@@ -82,16 +82,9 @@ let pipeline ddg =
   let report = Report.run fabric ddg in
   match (report.Report.result, report.Report.final_mii) with
   | Some res, Some final -> (
-      let exp = Postprocess.expand res in
-      let params = { Hca_sched.Modulo.default_params with copy_latency = 0 } in
-      match
-        Hca_sched.Modulo.run ~params ~ddg:exp.Postprocess.ddg
-          ~cn_of_instr:exp.Postprocess.cn_of_node
-          ~cns:(Dspfabric.total_cns fabric)
-          ~dma_ports:(Dspfabric.dma_ports fabric) ~start_ii:final ()
-      with
-      | Ok schedule -> (exp, schedule)
-      | Error e -> failwith e)
+      match Hca_sched.Lower.run res ~final_mii:final with
+      | { expanded; schedule = Ok schedule } -> (expanded, schedule)
+      | { schedule = Error e; _ } -> failwith e)
   | _ -> failwith "clusterisation failed"
 
 let test_machine_sim_equivalence kernel f () =
