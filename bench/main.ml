@@ -194,10 +194,9 @@ let fig_scaling () =
   List.iter
     (fun (name, hca, flat) ->
       let violations =
-        match flat.Hca_baseline.Flat_ica.outcome with
-        | Some o ->
-            Some (Hca_baseline.Flat_ica.hierarchy_violations reference o)
-        | None -> None
+        Option.map
+          (Hca_baseline.Flat_ica.hierarchy_violations reference)
+          flat.Hca_baseline.Flat_ica.outcome
       in
       if !json_mode then
         emit_json ~experiment:"fig_scaling" ~kernel:name
@@ -360,33 +359,23 @@ let baselines () =
       let ii = max 4 hca.Report.ii_used in
       let chu = Hca_baseline.Chu_partition.run reference ddg ~ii in
       let rand = Hca_baseline.Random_assign.run reference ddg ~ii in
-      let cell = function Some s -> s | None -> "-" in
+      let cell field = function
+        | Ok r -> string_of_int (field r)
+        | Error _ -> "-"
+      in
+      let module C = Hca_baseline.Chu_partition in
+      let module R = Hca_baseline.Random_assign in
       Hca_util.Tabular.add_row t
         [
           name;
           string_of_int opt;
-          cell (Option.map string_of_int hca.Report.final_mii);
+          (match hca.Report.final_mii with Some m -> string_of_int m | None -> "-");
           string_of_int hca.Report.copies;
-          cell
-            (Result.to_option chu
-            |> Option.map (fun c ->
-                   string_of_int c.Hca_baseline.Chu_partition.projected_mii));
-          cell
-            (Result.to_option chu
-            |> Option.map (fun c ->
-                   string_of_int c.Hca_baseline.Chu_partition.copies));
-          cell
-            (Result.to_option chu
-            |> Option.map (fun c ->
-                   string_of_int c.Hca_baseline.Chu_partition.violations));
-          cell
-            (Result.to_option rand
-            |> Option.map (fun r ->
-                   string_of_int r.Hca_baseline.Random_assign.projected_mii));
-          cell
-            (Result.to_option rand
-            |> Option.map (fun r ->
-                   string_of_int r.Hca_baseline.Random_assign.copies));
+          cell (fun c -> c.C.projected_mii) chu;
+          cell (fun c -> c.C.copies) chu;
+          cell (fun c -> c.C.violations) chu;
+          cell (fun r -> r.R.projected_mii) rand;
+          cell (fun r -> r.R.copies) rand;
         ])
     Hca_kernels.Registry.all;
   Hca_util.Tabular.print t

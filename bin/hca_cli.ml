@@ -99,24 +99,29 @@ let config_term =
       & info [ "fanin-cap" ] ~docv:"F"
           ~doc:"In-neighbour cap at the leaf-feeding level.")
   in
-  let make beam_width candidate_width mapper_spread leaf_feed_fanin_cap =
-    {
-      Config.default with
-      beam_width;
-      candidate_width;
-      mapper_spread;
-      leaf_feed_fanin_cap;
-    }
+  let make beam candidates spread fanin_cap =
+    match Config.search ~beam ~candidates ~spread ~fanin_cap () with
+    | Ok config -> `Ok config
+    | Error (label, v) ->
+        let flag = String.map (function '_' -> '-' | c -> c) label in
+        `Error
+          ( true,
+            Printf.sprintf "option '--%s': must be at least 1, got %d" flag v )
   in
-  Term.(const make $ beam $ cand $ spread $ fanin_cap)
+  Term.(ret (const make $ beam $ cand $ spread $ fanin_cap))
 
-let jobs_term =
+let jobs_term what =
   Arg.(
     value & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:
-          "Size of the domain pool used to probe candidate IIs \
-           concurrently.  Results are identical at every N.")
+          (Printf.sprintf
+             "Spread %s over $(docv) domains.  Results are identical at \
+              every $(docv)."
+             what))
+
+let patience_jobs =
+  jobs_term "the patience window (the IIs tried above the first feasible one)"
 
 let resources_of fabric = Dspfabric.resources fabric
 
@@ -228,8 +233,8 @@ let run_cmd =
   in
   Cmd.v (Cmd.info "run" ~doc:"Run HCA on one kernel")
     Term.(
-      const run $ kernel_arg $ fabric_term $ config_term $ jobs_term $ no_memo
-      $ stats $ trace_arg $ ii_arg)
+      const run $ kernel_arg $ fabric_term $ config_term $ patience_jobs
+      $ no_memo $ stats $ trace_arg $ ii_arg)
 
 let profile_cmd =
   let run (name, f) fabric config jobs no_memo trace =
@@ -257,8 +262,8 @@ let profile_cmd =
          "Run HCA on one kernel under the tracer and print aggregated \
           per-phase wall-clock/self-time, counter and histogram tables")
     Term.(
-      const run $ kernel_arg $ fabric_term $ config_term $ jobs_term $ no_memo
-      $ trace_arg)
+      const run $ kernel_arg $ fabric_term $ config_term $ patience_jobs
+      $ no_memo $ trace_arg)
 
 let tracecheck_cmd =
   let run file expects quiet =
@@ -477,7 +482,9 @@ let dse_cmd =
           suite and report the Pareto front")
     Term.(
       const run $ machines $ grid_fanouts $ grid_caps $ grid_dma $ random
-      $ seed $ hetero $ kernels $ config_term $ jobs_term $ out)
+      $ seed $ hetero $ kernels $ config_term
+      $ jobs_term "the (machine, kernel) evaluations"
+      $ out)
 
 let dot_cmd =
   let run (name, f) fabric assigned =
@@ -633,7 +640,10 @@ let portfolio_cmd =
   Cmd.v
     (Cmd.info "portfolio"
        ~doc:"Run the configuration portfolio and keep the best result")
-    Term.(const run $ kernel_arg $ fabric_term $ jobs_term $ trace_arg)
+    Term.(
+      const run $ kernel_arg $ fabric_term
+      $ jobs_term "the portfolio's configurations"
+      $ trace_arg)
 
 let rcp_cmd =
   let run (name, f) ports =
@@ -835,7 +845,8 @@ let fuzz_cmd =
              whole pipeline, cross-checked against the coherency checker, \
              the SAT oracle and the machine simulator")
     Term.(
-      const run $ seed $ count $ minimize $ corpus $ replay $ gap $ jobs_term
+      const run $ seed $ count $ minimize $ corpus $ replay $ gap
+      $ jobs_term "the patience window of each instance's run"
       $ verbose $ max_size)
 
 let socket_arg =

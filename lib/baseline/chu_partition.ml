@@ -73,30 +73,6 @@ let cluster ddg ids ~k ~capacity =
     (fun i -> (i, Option.value ~default:0 (Hashtbl.find_opt group_of i)))
     ids
 
-let violations_of fabric cn_of_instr ddg =
-  let cns = Dspfabric.total_cns fabric in
-  let depth = Dspfabric.depth fabric in
-  let total = ref 0 in
-  for level = 0 to depth - 1 do
-    let view = Dspfabric.level_view fabric ~level in
-    let group_size = view.Dspfabric.cns_per_child in
-    let groups = cns / group_size in
-    let in_sets = Array.make groups [] in
-    Ddg.iter_edges
-      (fun e ->
-        let gs = cn_of_instr.(e.src) / group_size
-        and gd = cn_of_instr.(e.dst) / group_size in
-        if gs <> gd && not (List.mem gs in_sets.(gd)) then
-          in_sets.(gd) <- gs :: in_sets.(gd))
-      ddg;
-    Array.iter
-      (fun sources ->
-        let overflow = List.length sources - view.Dspfabric.mux_capacity in
-        if overflow > 0 then total := !total + overflow)
-      in_sets
-  done;
-  !total
-
 let run fabric ddg ~ii =
   let cns = Dspfabric.total_cns fabric in
   let n = Ddg.size ddg in
@@ -130,28 +106,13 @@ let run fabric ddg ~ii =
     if Array.exists (fun c -> c < 0) cn_of_instr then
       Error "clustering left instructions unplaced (capacity too tight)"
     else begin
-      let copies = ref 0 in
-      let load = Array.make cns 0 in
-      let incoming = Array.make cns 0 in
-      Array.iter (fun c -> load.(c) <- load.(c) + 1) cn_of_instr;
-      Ddg.iter_edges
-        (fun e ->
-          if cn_of_instr.(e.src) <> cn_of_instr.(e.dst) then begin
-            incr copies;
-            let d = cn_of_instr.(e.dst) in
-            incoming.(d) <- incoming.(d) + 1
-          end)
-        ddg;
-      let projected = ref 1 in
-      for c = 0 to cns - 1 do
-        projected := max !projected (load.(c) + incoming.(c))
-      done;
-      Ok
-        {
-          cn_of_instr;
-          copies = !copies;
-          projected_mii = !projected;
-          violations = violations_of fabric cn_of_instr ddg;
-        }
+      let copies, projected_mii = Flat_score.score fabric ddg cn_of_instr in
+      let violations =
+        Flat_score.mux_overflows fabric (fun arc ->
+            Ddg.iter_edges
+              (fun e -> arc cn_of_instr.(e.src) cn_of_instr.(e.dst))
+              ddg)
+      in
+      Ok { cn_of_instr; copies; projected_mii; violations }
     end
   end

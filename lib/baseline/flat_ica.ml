@@ -53,36 +53,9 @@ let run ?(config = Config.default) fabric ddg =
         error = None;
       }
 
-(* Re-check the flat copy flow against the real fabric: at every
-   hierarchy level, a node (cluster set or CN) only owns [capacity]
-   input wires, each tied to a single source.  A flat assignment that
-   needs more distinct in-neighbours than that is not implementable. *)
 let hierarchy_violations fabric outcome =
   let flow = State.flow outcome.See.state in
-  let pg = Copy_flow.pg flow in
-  let cns = Pattern_graph.size pg in
-  let depth = Dspfabric.depth fabric in
-  (* Group CN -> enclosing node index at each level: level l nodes are
-     groups of cns_per_child CNs. *)
-  let violations = ref 0 in
-  for level = 0 to depth - 1 do
-    let view = Dspfabric.level_view fabric ~level in
-    let group_size = view.Dspfabric.cns_per_child in
-    let groups = cns / group_size in
-    let in_sets = Array.make groups [] in
-    for src = 0 to cns - 1 do
-      List.iter
-        (fun dst ->
-          let gs = src / group_size and gd = dst / group_size in
-          if gs <> gd && not (List.mem gs in_sets.(gd)) then
-            in_sets.(gd) <- gs :: in_sets.(gd))
-        (Copy_flow.real_out_neighbors flow src)
-    done;
-    let cap = view.Dspfabric.mux_capacity in
-    Array.iter
-      (fun sources ->
-        let overflow = List.length sources - cap in
-        if overflow > 0 then violations := !violations + overflow)
-      in_sets
-  done;
-  !violations
+  Flat_score.mux_overflows fabric (fun arc ->
+      for src = 0 to Dspfabric.total_cns fabric - 1 do
+        List.iter (arc src) (Copy_flow.real_out_neighbors flow src)
+      done)

@@ -30,6 +30,8 @@ val run : ?config:Config.t -> Dspfabric.t -> Ddg.t -> t
 
 val hierarchy_violations : Dspfabric.t -> See.outcome -> int
 (** How many of the flat result's copies cross a set boundary the MUX
-    capacities could not actually carry — counted by re-checking each
-    level-0/level-1 cut against [N] and [M].  Non-zero means the flat
-    "solution" is not implementable on the real fabric. *)
+    capacities could not actually carry: {!Flat_score.mux_overflows}
+    over the flow's real CN→CN arcs.  At every level a cluster set (a
+    CN at the leaf) owns only its capacity of input wires, each tied to
+    one source, so non-zero means the flat "solution" is not
+    implementable on the real fabric. *)

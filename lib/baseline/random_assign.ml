@@ -34,19 +34,6 @@ let run ?(seed = 1) fabric ddg ~ii =
         load.(c) <- load.(c) + 1;
         cn_of_instr.(i) <- c)
       order;
-    let copies = ref 0 in
-    let incoming = Array.make cns 0 in
-    Ddg.iter_edges
-      (fun e ->
-        if cn_of_instr.(e.src) <> cn_of_instr.(e.dst) then begin
-          incr copies;
-          let d = cn_of_instr.(e.dst) in
-          incoming.(d) <- incoming.(d) + 1
-        end)
-      ddg;
-    let projected_mii = ref 1 in
-    for c = 0 to cns - 1 do
-      projected_mii := max !projected_mii (load.(c) + incoming.(c))
-    done;
-    Ok { cn_of_instr; copies = !copies; projected_mii = !projected_mii; seed }
+    let copies, projected_mii = Flat_score.score fabric ddg cn_of_instr in
+    Ok { cn_of_instr; copies; projected_mii; seed }
   end

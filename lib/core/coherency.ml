@@ -88,12 +88,7 @@ let check_edge t (e : Ddg.edge) =
     let du = Machine_desc.cn_path fabric cn_u
     and dv = Machine_desc.cn_path fabric cn_v in
     let depth = Dspfabric.depth fabric in
-    let rec lca_len i =
-      if i >= depth then i
-      else if List.nth du i = List.nth dv i then lca_len (i + 1)
-      else i
-    in
-    let lca = lca_len 0 in
+    let lca = Machine_desc.shared_depth fabric cn_u cn_v in
     let value = e.src in
     let errors = ref [] in
     let fail path msg =

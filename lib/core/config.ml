@@ -34,13 +34,21 @@ let default =
 
 let greedy = { default with beam_width = 1; candidate_width = 1 }
 
-let priority_name = function
-  | Affinity -> "affinity"
-  | Criticality -> "criticality"
-  | Source_order -> "source-order"
-
-let pp ppf t =
-  Format.fprintf ppf
-    "{beam=%d; cand=%d; prio=%s; router=%b; hops=%d; patience=%d; weights=%a}"
-    t.beam_width t.candidate_width (priority_name t.priority) t.enable_router
-    t.max_route_hops t.ii_patience Cost.pp_weights t.weights
+let search ?beam ?candidates ?spread ?fanin_cap () =
+  match
+    List.find_map
+      (function name, Some n when n < 1 -> Some (name, n) | _ -> None)
+      [ ("beam", beam); ("candidates", candidates); ("fanin_cap", fanin_cap) ]
+  with
+  | Some bad -> Error bad
+  | None ->
+      let d = default in
+      Ok
+        {
+          d with
+          beam_width = Option.value ~default:d.beam_width beam;
+          candidate_width = Option.value ~default:d.candidate_width candidates;
+          mapper_spread = Option.value ~default:d.mapper_spread spread;
+          leaf_feed_fanin_cap =
+            Option.value ~default:d.leaf_feed_fanin_cap fanin_cap;
+        }

@@ -54,4 +54,16 @@ val greedy : t
 (** [beam_width = 1, candidate_width = 1]: the cheapest configuration,
     used by ablations and by the flat-ICA baseline at scale. *)
 
-val pp : Format.formatter -> t -> unit
+val search :
+  ?beam:int ->
+  ?candidates:int ->
+  ?spread:bool ->
+  ?fanin_cap:int ->
+  unit ->
+  (t, string * int) result
+(** {!default} with [beam_width], [candidate_width], [mapper_spread] and
+    [leaf_feed_fanin_cap] replaced by the given values: the search
+    settings of the [hca] flags and of a serve request's ["config"]
+    object, checked here for both.  The three integers must be at
+    least 1; otherwise the error carries the first that is not, by its
+    label (["beam"], ["candidates"] or ["fanin_cap"]), and its value. *)

@@ -132,16 +132,6 @@ let path_name path =
   | [] -> "0"
   | _ -> "0," ^ String.concat "," (List.map string_of_int path)
 
-(* Absolute CN index of child [j] of the subproblem at [path]: the
-   mixed-radix number written by the nesting indexes. *)
-let absolute_cn fabric path j =
-  let children level = (Dspfabric.level_view fabric ~level).Dspfabric.children in
-  let rec go acc level = function
-    | [] -> acc
-    | i :: rest -> go ((acc * children level) + i) (level + 1) rest
-  in
-  (go 0 0 path * children (List.length path)) + j
-
 let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
   Hca_obs.Obs.span "hierarchy.solve"
     ~args:[ ("kernel", Ddg.name ddg); ("ii", string_of_int ii) ]
@@ -388,20 +378,21 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
   let depth = Dspfabric.depth fabric in
   let rec harvest sub =
     if List.length sub.path = depth - 1 then begin
+      let cn_of j = Machine_desc.cn_of_path fabric (sub.path @ [ j ]) in
       Array.iter
         (fun (nd : Problem.node) ->
           match (nd.Problem.pinned, State.placement sub.state nd.Problem.id) with
           | Some _, _ -> ()
           | None, None -> assert false (* the SEE returned a complete state *)
           | None, Some cn -> (
-              let abs = absolute_cn fabric sub.path cn in
+              let abs = cn_of cn in
               match nd.Problem.global with
               | Some g -> cn_of_instr.(g) <- abs
               | None -> forwards := (nd.Problem.value, abs) :: !forwards))
         (Problem.nodes sub.problem);
       List.iter
         (fun (value, via) ->
-          forwards := (value, absolute_cn fabric sub.path via) :: !forwards)
+          forwards := (value, cn_of via) :: !forwards)
         (State.forwards sub.state)
     end
     else
@@ -459,23 +450,9 @@ let cn_count t cn =
    flow (from sibling CNs and from the wires coming down the
    hierarchy). *)
 let recv_count t cn =
-  let path_of_cn = Machine_desc.cn_path t.fabric cn in
-  match path_of_cn with
+  match List.rev (Machine_desc.cn_path t.fabric cn) with
   | [] -> 0
-  | _ -> (
-      let leaf_path =
-        List.filteri (fun i _ -> i < List.length path_of_cn - 1) path_of_cn
-      in
-      let local = List.nth path_of_cn (List.length path_of_cn - 1) in
-      match leaf_of_path t leaf_path with
+  | local :: rev_leaf_path -> (
+      match leaf_of_path t (List.rev rev_leaf_path) with
       | None -> 0
       | Some leaf -> Copy_flow.in_pressure (State.flow leaf.state) local)
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<v>HCA on %s, kernel %s, II=%d: %d instrs on %d CNs, %d forwards, %d \
-     states explored@]"
-    (Dspfabric.name t.fabric) (Ddg.name t.ddg) t.ii (Ddg.size t.ddg)
-    (Dspfabric.total_cns t.fabric)
-    (List.length t.forwards)
-    t.explored

@@ -114,5 +114,3 @@ val cn_count : t -> int -> int
 
 val recv_count : t -> int -> int
 (** Distinct values a CN receives — each costs one receive primitive. *)
-
-val pp : Format.formatter -> t -> unit

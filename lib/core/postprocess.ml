@@ -10,17 +10,10 @@ type t = {
 
 let hop_distance (res : Hierarchy.t) ~src_cn ~dst_cn =
   if src_cn = dst_cn then 0
-  else begin
-    let du = Machine_desc.cn_path res.Hierarchy.fabric src_cn
-    and dv = Machine_desc.cn_path res.Hierarchy.fabric dst_cn in
-    let depth = Dspfabric.depth res.Hierarchy.fabric in
-    let rec lca i =
-      if i >= depth then i
-      else if List.nth du i = List.nth dv i then lca (i + 1)
-      else i
-    in
-    (2 * (depth - lca 0)) - 1
-  end
+  else
+    let fabric = res.Hierarchy.fabric in
+    let shared = Machine_desc.shared_depth fabric src_cn dst_cn in
+    (2 * (Dspfabric.depth fabric - shared)) - 1
 
 let expand (res : Hierarchy.t) =
   let ddg = res.Hierarchy.ddg in

@@ -46,36 +46,6 @@ type t = {
   result : Hierarchy.t option;
 }
 
-let base_row ~kernel ~machine ddg fabric_resources =
-  let mii_rec = Mii.rec_mii ddg in
-  let mii_res = Mii.res_mii ddg fabric_resources in
-  {
-    kernel;
-    machine;
-    n_instr = Ddg.size ddg;
-    mii_rec;
-    mii_res;
-    ini_mii = max mii_rec mii_res;
-    legal = false;
-    final_mii = None;
-    ii_used = 0;
-    copies = 0;
-    forwards = 0;
-    max_wire_load = 0;
-    explored_states = 0;
-    routed_moves = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    reused_subproblems = 0;
-    memo_enabled = false;
-    timed_out = false;
-    runtime_s = 0.0;
-    alloc_mb = 0.0;
-    minor_gcs = 0;
-    error = None;
-    result = None;
-  }
-
 (* Live-registry accounting of every finished run.  Registry updates
    never feed back into the search, so the report itself is unchanged
    by them (see [invariant_string]). *)
@@ -95,22 +65,10 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
   @@ fun () ->
   let t0 = Hca_util.Clock.now () in
   let meter = Alloc_meter.start () in
-  let alloc_mb () = Alloc_meter.mb meter in
-  let minor_gcs () = Alloc_meter.minor_gcs meter in
-  let base =
-    {
-      (base_row ~kernel:(Ddg.name ddg) ~machine:(Dspfabric.name fabric) ddg
-         (Dspfabric.resources fabric))
-      with
-      memo_enabled = memo;
-    }
-  in
+  let mii_rec = Mii.rec_mii ddg in
+  let mii_res = Mii.res_mii ddg (Dspfabric.resources fabric) in
+  let ini_mii = max mii_rec mii_res in
   let deadline = Option.map (fun d -> t0 +. d) deadline_s in
-  let past_deadline () =
-    match deadline with
-    | None -> false
-    | Some d -> Hca_util.Clock.now () > d
-  in
   (* One subproblem memo per run — II probes of the same kernel share
      it (the cache is domain-safe and its keys embed the II) — unless
      the caller passed a longer-lived one, e.g. the compile daemon's
@@ -119,164 +77,116 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
     if not memo then None
     else match cache with Some c -> Some c | None -> Some (Hierarchy.create_cache ())
   in
-  let attempt ii =
-    Hca_obs.Obs.span "report.probe" ~args:[ ("ii", string_of_int ii) ]
-    @@ fun () ->
-    let stats = Hierarchy.create_stats () in
-    let r =
-      match
-        Hierarchy.solve ~config ~target_ii:base.ini_mii ?cache:hcache ~stats
-          fabric ddg ~ii
-      with
-      | Error e -> Error e
-      | Ok res ->
-          let metrics = Metrics.of_result res in
-          let legal = Coherency.is_legal res in
-          Ok (res, metrics, legal)
-    in
-    (r, stats)
-  in
-  (* Climb to the first feasible II, then give the SEE [ii_patience]
-     more values of slack and keep the best legal outcome. *)
-  (* Wire constraints do not relax with the II, so a deep climb is
-     pointless: cap the search well before the configured ceiling. *)
-  let ii_limit = min config.Config.max_ii ((4 * base.ini_mii) + 12) in
-  (* Memoised attempts.  At [jobs > 1] the climb probes [jobs]
-     consecutive IIs speculatively on the domain pool; the probes past
-     the first feasible II are exactly the patience candidates, so a
-     kernel whose iniMII is feasible finishes in a single parallel
-     round.  The climb itself still commits to the lowest feasible II
-     in order, so the outcome is identical to the sequential walk. *)
-  let cache = Hashtbl.create 16 in
-  let eval ii =
-    match Hashtbl.find_opt cache ii with
-    | Some (r, _) -> r
-    | None ->
-        let r, stats = attempt ii in
-        Hashtbl.replace cache ii (r, stats);
-        r
-  in
-  (* Memo counters of the attempts the sequential walk would have
-     made — speculative probes past that set are excluded, so the
-     figures match at any [jobs] (each attempt's counters only depend
-     on its own II: the memo keys embed the II, so attempts never see
-     each other's entries). *)
-  let sum_stats iis =
-    List.fold_left
-      (fun (h, m, r) ii ->
-        match Hashtbl.find_opt cache ii with
-        | Some (_, s) ->
-            ( h + s.Hierarchy.cache_hits,
-              m + s.Hierarchy.cache_misses,
-              r + s.Hierarchy.reused_subproblems )
-        | None -> (h, m, r))
-      (0, 0, 0) iis
-  in
-  let range lo hi = List.init (max 0 (hi - lo + 1)) (fun i -> lo + i) in
-  let eval_batch iis =
-    match List.filter (fun ii -> not (Hashtbl.mem cache ii)) iis with
-    | [] -> ()
-    | fresh ->
-        List.iter
-          (fun (ii, rs) -> Hashtbl.replace cache ii rs)
-          (Hca_util.Domain_pool.parallel_map ~jobs
-             (fun ii -> (ii, attempt ii))
-             fresh)
-  in
-  (* A deadline is checked between II attempts (the climb and patience
-     loops), never inside one: the structured [timed_out] flag replaces
-     the silent truncation a budget used to cause, and the best legal
+  (* One II attempt with its memo counters, or [None] when the deadline
+     passed before it started.  A deadline is checked between attempts,
+     never inside one: the structured [timed_out] flag replaces the
+     silent truncation a budget used to cause, and the best legal
      attempt finished before the cut-off still comes back. *)
-  let rec climb ii last_error =
-    if ii > ii_limit then (None, last_error, false)
-    else if past_deadline () then (None, last_error, true)
-    else begin
-      if jobs > 1 && not (Hashtbl.mem cache ii) then
-        eval_batch (List.init (min jobs (ii_limit - ii + 1)) (fun i -> ii + i));
-      match eval ii with
-      | Ok ok -> (Some (ii, ok), None, false)
-      | Error e -> climb (ii + 1) (Some e)
-    end
+  let attempt ii =
+    match deadline with
+    | Some d when Hca_util.Clock.now () > d -> None
+    | _ ->
+        Hca_obs.Obs.span "report.probe" ~args:[ ("ii", string_of_int ii) ]
+        @@ fun () ->
+        let stats = Hierarchy.create_stats () in
+        let outcome =
+          Result.map
+            (fun res -> (res, Metrics.of_result res, Coherency.is_legal res))
+            (Hierarchy.solve ~config ~target_ii:ini_mii ?cache:hcache ~stats
+               fabric ddg ~ii)
+        in
+        Some (ii, outcome, stats)
   in
-  let first, error, timed_out = climb base.ini_mii None in
-  match first with
-  | None ->
-      let cache_hits, cache_misses, reused_subproblems =
-        sum_stats (range base.ini_mii ii_limit)
-      in
-      finalize
+  (* The memo counters sum over the attempts made, the explored and
+     routed totals over the successful ones. *)
+  let finish made ~timed_out best =
+    let sum f = List.fold_left (fun acc a -> acc + f a) 0 made in
+    let stat f = sum (fun (_, _, s) -> f s) in
+    let solved f = sum (function _, Ok (res, _, _), _ -> f res | _ -> 0) in
+    let row =
       {
-        base with
-        error =
-          (if timed_out then Some "deadline exceeded before a feasible II"
-           else error);
+        kernel = Ddg.name ddg;
+        machine = Dspfabric.name fabric;
+        n_instr = Ddg.size ddg;
+        mii_rec;
+        mii_res;
+        ini_mii;
+        legal = false;
+        final_mii = None;
+        ii_used = 0;
+        copies = 0;
+        forwards = 0;
+        max_wire_load = 0;
+        explored_states = solved (fun r -> r.Hierarchy.explored);
+        routed_moves = solved (fun r -> r.Hierarchy.routed);
+        cache_hits = stat (fun s -> s.Hierarchy.cache_hits);
+        cache_misses = stat (fun s -> s.Hierarchy.cache_misses);
+        reused_subproblems = stat (fun s -> s.Hierarchy.reused_subproblems);
+        memo_enabled = memo;
         timed_out;
-        cache_hits;
-        cache_misses;
-        reused_subproblems;
         runtime_s = Hca_util.Clock.now () -. t0;
-        alloc_mb = alloc_mb ();
-        minor_gcs = minor_gcs ();
+        alloc_mb = Alloc_meter.mb meter;
+        minor_gcs = Alloc_meter.minor_gcs meter;
+        error = None;
+        result = None;
       }
-  | Some (ii0, first_ok) ->
-      let better_than (_, m1, l1) (_, m2, l2) =
-        match (l1, l2) with
-        | true, false -> true
-        | false, true -> false
-        | _ ->
-            (m1 : Metrics.t).final_mii < (m2 : Metrics.t).final_mii
-      in
-      (* Only attempts the sequential walk would have made count
-         towards the explored/routed totals, so the figures match at
-         any [jobs]. *)
-      let explored = ref 0 and routed = ref 0 in
-      let count (res, _, _) =
-        explored := !explored + res.Hierarchy.explored;
-        routed := !routed + res.Hierarchy.routed
-      in
-      count first_ok;
-      let patience_iis =
-        let hi = min config.Config.max_ii (ii0 + config.Config.ii_patience) in
-        List.init (max 0 (hi - ii0)) (fun i -> ii0 + 1 + i)
-      in
-      if jobs > 1 then eval_batch patience_iis;
-      let best = ref (ii0, first_ok) in
-      let cut_short = ref false in
-      List.iter
-        (fun ii ->
-          if past_deadline () then cut_short := true
-          else
-            match eval ii with
-            | Ok ok ->
-                count ok;
-                if better_than ok (snd !best) then best := (ii, ok)
-            | Error _ -> ())
-        patience_iis;
-      let ii_used, (res, metrics, legal) = !best in
-      let cache_hits, cache_misses, reused_subproblems =
-        sum_stats (range base.ini_mii ii0 @ patience_iis)
-      in
-      finalize
-      {
-        base with
-        legal;
-        timed_out = !cut_short;
-        final_mii = Some metrics.Metrics.final_mii;
-        ii_used;
-        copies = metrics.Metrics.copies;
-        forwards = metrics.Metrics.forwards;
-        max_wire_load = metrics.Metrics.max_wire_load;
-        explored_states = !explored;
-        routed_moves = !routed;
-        cache_hits;
-        cache_misses;
-        reused_subproblems;
-        runtime_s = Hca_util.Clock.now () -. t0;
-        alloc_mb = alloc_mb ();
-        minor_gcs = minor_gcs ();
-        error = (if legal then None else Some "coherency check failed");
-        result = Some res;
-      }
+    in
+    finalize
+      (match best with
+      | Error error -> { row with error }
+      | Ok (ii_used, (res, (metrics : Metrics.t), legal)) ->
+          {
+            row with
+            legal;
+            final_mii = Some metrics.final_mii;
+            ii_used;
+            copies = metrics.copies;
+            forwards = metrics.forwards;
+            max_wire_load = metrics.max_wire_load;
+            error = (if legal then None else Some "coherency check failed");
+            result = Some res;
+          })
+  in
+  let better_than (_, m1, l1) (_, m2, l2) =
+    match (l1, l2) with
+    | true, false -> true
+    | false, true -> false
+    | _ -> (m1 : Metrics.t).final_mii < (m2 : Metrics.t).final_mii
+  in
+  (* Climb one II at a time to the first feasible one, capped well
+     before the configured ceiling. *)
+  let ii_limit = min config.Config.max_ii ((4 * ini_mii) + 12) in
+  let rec climb ii made last_error =
+    if ii > ii_limit then finish made ~timed_out:false (Error last_error)
+    else
+      match attempt ii with
+      | None ->
+          finish made ~timed_out:true
+            (Error (Some "deadline exceeded before a feasible II"))
+      | Some ((_, Error e, _) as a) -> climb (ii + 1) (a :: made) (Some e)
+      | Some ((_, Ok first, _) as a) -> patience ii first (a :: made)
+  (* Then give the SEE [ii_patience] more values of slack and keep the
+     best legal outcome.  The window's attempts are independent, so
+     they are what [jobs] spreads over a domain pool. *)
+  and patience ii0 first made =
+    let hi = min config.Config.max_ii (ii0 + config.Config.ii_patience) in
+    let window =
+      Hca_util.Domain_pool.parallel_map ~jobs attempt
+        (List.init (max 0 (hi - ii0)) (fun i -> ii0 + 1 + i))
+    in
+    let best =
+      List.fold_left
+        (fun best -> function
+          | Some (ii, Ok ok, _) when better_than ok (snd best) -> (ii, ok)
+          | _ -> best)
+        (ii0, first) window
+    in
+    finish
+      (List.filter_map Fun.id window @ made)
+      ~timed_out:(List.exists Option.is_none window)
+      (Ok best)
+  in
+  climb ini_mii [] None
 
 let header = [ "Loop"; "N_Instr"; "MIIRec"; "MIIRes"; "Legal"; "Final MII" ]
 

@@ -44,9 +44,10 @@ type t = {
   explored_states : int;
   routed_moves : int;
   cache_hits : int;
-      (** subproblem memo hits across the attempts of the sequential
-          climb + patience walk (speculative probes excluded, so the
-          figure is identical at every [jobs]) *)
+      (** subproblem memo hits summed over the II attempts made: the
+          climb and the patience window (identical at every [jobs]:
+          the memo keys embed the II, so no attempt sees another's
+          entries) *)
   cache_misses : int;
   reused_subproblems : int;
       (** subproblems short-circuited transitively by the hits *)
@@ -81,12 +82,15 @@ val run :
   Dspfabric.t ->
   Ddg.t ->
   t
-(** [jobs] (default 1) sizes the domain pool used to probe candidate
-    IIs.  The climb evaluates [jobs] consecutive IIs speculatively per
-    round and still commits to the lowest feasible one; the probes past
-    it are reused as the patience attempts.  Results — including the
-    [explored_states]/[routed_moves] totals — are identical at every
-    [jobs]; only the wall clock changes.
+(** The climb attempts iniMII, iniMII+1, … one II at a time, up to the
+    first feasible II (or the cap [min max_ii (4·iniMII + 12)]), at
+    every [jobs].  [jobs] (default 1) sizes the domain pool that then
+    evaluates the [ii_patience] IIs above it; each of those attempts
+    checks the deadline before it starts, so at [jobs = 1] they run in
+    order and stop at the deadline as the climb does.  Results —
+    including the [explored_states]/[routed_moves] totals and the memo
+    counters — are identical at every [jobs]; only the wall clock
+    changes.
 
     [memo] (default [true]) shares one {!Hierarchy.cache} across the II
     attempts, short-circuiting subproblems that inter-level
@@ -121,9 +125,7 @@ val invariant_string : t -> string
     asserts this string is bit-identical at every [jobs], memo on/off,
     traced or untraced. *)
 
-val memo_string : t -> string
-(** The memo figures as printed by {!pp}: ["memo=off"] when the run was
-    made without a cache, ["memo=H/T (reused R)"] otherwise — even when
-    all three counters are zero. *)
-
 val pp : Format.formatter -> t -> unit
+(** The report in two lines.  Its memo figures read ["memo=off"] when
+    the run was made without a cache, ["memo=H/T (reused R)"] otherwise
+    — even when all three counters are zero. *)

@@ -143,20 +143,34 @@ let cn_path t cn =
   in
   go cn (depth t - 1) []
 
+let cn_of_path t path =
+  let rec go acc level = function
+    | [] when level = depth t -> acc
+    | [] -> go (acc * t.levels.(level).fanout) (level + 1) []
+    | i :: rest ->
+        if level = depth t || i < 0 || i >= t.levels.(level).fanout then
+          invalid_arg "Machine_desc.cn_of_path: path too deep or out of range";
+        go ((acc * t.levels.(level).fanout) + i) (level + 1) rest
+  in
+  go 0 0 path
+
+(* Strip one path digit off both CNs per step, leaf level first, until
+   they name the same cluster: no path is built. *)
+let shared_depth t a b =
+  let rec go a b level =
+    if a = b || level = 0 then level
+    else
+      let f = t.levels.(level - 1).fanout in
+      go (a / f) (b / f) (level - 1)
+  in
+  go a b (depth t)
+
 let child_capacities t ~path =
   let level = List.length path in
   if level >= depth t then
     invalid_arg "Machine_desc.child_capacities: path too deep";
-  (* Absolute CN index of the first CN under the cluster at [path]. *)
-  let base = ref 0 in
-  List.iteri
-    (fun l i ->
-      if i < 0 || i >= t.levels.(l).fanout then
-        invalid_arg "Machine_desc.child_capacities: path step out of range";
-      base := (!base * t.levels.(l).fanout) + i)
-    path;
   let view = level_view t ~level in
-  let base = !base * view.children * view.cns_per_child in
+  let base = cn_of_path t path in
   match t.tables with
   | None ->
       Array.make view.children (Resource.scale view.cns_per_child Resource.cn)

@@ -106,10 +106,27 @@ type level_view = {
 val level_view : t -> level:int -> level_view
 (** @raise Invalid_argument if [level] is out of range. *)
 
+(** {2 CN addresses}
+
+    A CN's absolute index is the mixed-radix number its path writes:
+    one digit per level, top-down, digit [i] in base [fanout i].  These
+    three functions are the only place that numbering is spelled out. *)
+
 val cn_path : t -> int -> int list
 (** The child index at each level, top-down, that leads from the root
     to the CN of the given absolute index (its last element is the CN's
     index inside its leaf cluster). *)
+
+val cn_of_path : t -> int list -> int
+(** The inverse of {!cn_path}: [cn_of_path t (cn_path t cn) = cn].  A
+    shorter path names a cluster and gives the first CN under it.
+    @raise Invalid_argument if [path] is too deep or a step is out of
+    range. *)
+
+val shared_depth : t -> int -> int -> int
+(** How many leading levels the paths of two CNs share: the depth of
+    their lowest common ancestor cluster, {!depth} when the CNs are
+    equal.  Allocates nothing. *)
 
 val child_capacities : t -> path:int list -> Resource.t array
 (** Resource tables of the children of the cluster reached by [path]

@@ -217,6 +217,11 @@ module Summary : sig
     histograms : hist list;  (** sorted by name *)
   }
 
+  val percentile : float array -> float -> float
+  (** [percentile sorted q]: the nearest-rank [q]-quantile of an
+      ascending array ([0.] when empty), the rule the [p*] fields of
+      {!hist} use. *)
+
   val collect : unit -> t
   (** Merge every domain's buffer into aggregate tables.  Spans are
       attributed per domain (each stream nests independently), then

@@ -279,25 +279,6 @@ let resolve_source = function
       | Error e -> Error ("bad inline ddg: " ^ e))
   | Protocol.Gen { seed; max_size } -> Ok (gen_kernel ~seed ~max_size)
 
-let config_of (s : Protocol.submit) =
-  let c = Config.default in
-  let c =
-    match s.beam with None -> c | Some b -> { c with Config.beam_width = b }
-  in
-  let c =
-    match s.candidates with
-    | None -> c
-    | Some w -> { c with Config.candidate_width = w }
-  in
-  let c =
-    match s.spread with
-    | None -> c
-    | Some b -> { c with Config.mapper_spread = b }
-  in
-  match s.fanin_cap with
-  | None -> c
-  | Some f -> { c with Config.leaf_feed_fanin_cap = f }
-
 (* ------------------------------------------------------------------ *)
 (* Responses                                                           *)
 
@@ -412,41 +393,47 @@ let metrics_line fmt =
 (* The handler                                                         *)
 
 let handle_submit t (s : Protocol.submit) =
+  let ( let* ) = Result.bind in
   if t.stopping then
     Line (Protocol.error_response "daemon is shutting down")
   else
-    match resolve_source s.source with
-    | Error e ->
-        Log.warn "submit.reject" [ ("error", Log.S e) ];
-        Line (Protocol.error_response e)
-    | Ok ddg -> (
-        match
-          match (s.machine, s.machine_desc) with
+    match
+      let* config =
+        Config.search ?beam:s.beam ?candidates:s.candidates ?spread:s.spread
+          ?fanin_cap:s.fanin_cap ()
+        |> Result.map_error (fun (label, v) ->
+               Printf.sprintf "\"config.%s\" must be at least 1, got %d"
+                 label v)
+      in
+      let* ddg = resolve_source s.source in
+      let* fabric =
+        Result.map_error
+          (fun e -> "bad machine: " ^ e)
+          (match (s.machine, s.machine_desc) with
           | None, None -> Ok Dspfabric.reference
           | Some (n, m, k), _ -> (
               try Ok (Dspfabric.make ~n ~m ~k ())
               with Invalid_argument e -> Error e)
-          | None, Some text -> Hca_machine.Machine_io.of_string text
-        with
-        | Error e ->
-            Log.warn "submit.reject" [ ("error", Log.S ("bad machine: " ^ e)) ];
-            Line (Protocol.error_response ("bad machine: " ^ e))
-        | Ok fabric ->
-            let config = config_of s in
-            let memo = s.memo in
-            let cache = if memo then Some t.cache else None in
-            let label = Ddg.name ddg in
-            let work ~deadline_s =
-              Report.run ~config ~jobs:1 ~memo ?cache ?deadline_s fabric ddg
-            in
-            let id =
-              Jobq.submit t.q ~label ~priority:s.priority
-                ?deadline_s:s.deadline_s
-                (instrument t ~trace:s.trace ~label work)
-            in
-            Line
-              (Protocol.ok_response
-                 [ ("id", num id); ("kernel", Json.Str label) ]))
+          | None, Some text -> Hca_machine.Machine_io.of_string text)
+      in
+      Ok (ddg, fabric, config)
+    with
+    | Error e ->
+        Log.warn "submit.reject" [ ("error", Log.S e) ];
+        Line (Protocol.error_response e)
+    | Ok (ddg, fabric, config) ->
+        let memo = s.memo in
+        let cache = if memo then Some t.cache else None in
+        let label = Ddg.name ddg in
+        let work ~deadline_s =
+          Report.run ~config ~jobs:1 ~memo ?cache ?deadline_s fabric ddg
+        in
+        let id =
+          Jobq.submit t.q ~label ~priority:s.priority ?deadline_s:s.deadline_s
+            (instrument t ~trace:s.trace ~label work)
+        in
+        Line
+          (Protocol.ok_response [ ("id", num id); ("kernel", Json.Str label) ])
 
 let terminal = function
   | Some (Jobq.Finished _ | Jobq.Cancelled) -> true

@@ -276,23 +276,11 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
         (Printf.sprintf "hca_client_rpc_ms{verb=\"%s\"}" verb)
         q
     in
-    (* The latency histogram goes through lib/obs so the daemon's own
-       percentile machinery is what reports the tails. *)
-    Hca_obs.Obs.enable ();
-    Hca_obs.Obs.reset ();
-    List.iter
-      (fun s -> Hca_obs.Obs.observe "serve.latency_ms" (s.latency_s *. 1000.))
-      served;
-    let hist =
-      List.find_opt
-        (fun h -> h.Hca_obs.Obs.Summary.h_name = "serve.latency_ms")
-        (Hca_obs.Obs.Summary.collect ()).Hca_obs.Obs.Summary.histograms
+    let latency_ms =
+      Array.of_list (List.map (fun s -> s.latency_s *. 1000.) served)
     in
-    let p50, p95, p99 =
-      match hist with
-      | Some h -> Hca_obs.Obs.Summary.(h.p50, h.p95, h.p99)
-      | None -> (0., 0., 0.)
-    in
+    Array.sort compare latency_ms;
+    let latency_q = Hca_obs.Obs.Summary.percentile latency_ms in
     let n_state st = List.length (List.filter (fun s -> s.state = st) served) in
     let verified_results =
       if not verify then []
@@ -319,9 +307,9 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
         elapsed_s;
         throughput_rps =
           (if elapsed_s > 0. then float_of_int count /. elapsed_s else 0.);
-        p50_ms = p50;
-        p95_ms = p95;
-        p99_ms = p99;
+        p50_ms = latency_q 0.5;
+        p95_ms = latency_q 0.95;
+        p99_ms = latency_q 0.99;
         submit_p50_ms = rpc_q "submit" 0.5;
         submit_p95_ms = rpc_q "submit" 0.95;
         result_p50_ms = rpc_q "result" 0.5;

@@ -6,8 +6,9 @@
     of the [count] submissions first, then collects every result with
     [result wait:true] — so the daemon's queue actually backs up and
     the measured latency includes queue wait, exactly what the deadline
-    budget charges.  Latencies go through a {!Hca_obs.Obs} histogram,
-    whose summary supplies the p50/p95/p99 figures.
+    budget charges.  The p50/p95/p99 figures are nearest-rank
+    percentiles of the sorted latencies
+    ({!Hca_obs.Obs.Summary.percentile}); the tracer is left alone.
 
     With [verify], every served report is checked bit-identical
     ({!Hca_core.Report.invariant_string}) against a local one-shot

@@ -86,7 +86,24 @@ let submit_of j =
         Error "submit takes at most one of \"machine\" and \"machine_desc\""
     | _ -> Ok ()
   in
-  let config = Option.value ~default:(Json.Obj []) (Json.member "config" j) in
+  let* config =
+    match Json.member "config" j with
+    | None -> Ok (Json.Obj [])
+    | Some (Json.Obj _ as c) -> Ok c
+    | Some _ -> Error "\"config\" must be an object"
+  in
+  (* A config field is optional, but one of the wrong type is an error,
+     never silently dropped. *)
+  let setting conv what k =
+    match Option.map conv (Json.member k config) with
+    | None -> Ok None
+    | Some (Some _ as v) -> Ok v
+    | Some None -> Error (Printf.sprintf "\"config.%s\" must be %s" k what)
+  in
+  let* beam = setting Json.int "an integer" "beam" in
+  let* candidates = setting Json.int "an integer" "candidates" in
+  let* spread = setting Json.bool "a boolean" "spread" in
+  let* fanin_cap = setting Json.int "an integer" "fanin_cap" in
   let* deadline_s =
     match Json.member "deadline_s" j with
     | None -> Ok None
@@ -101,10 +118,10 @@ let submit_of j =
          source;
          machine;
          machine_desc;
-         beam = field_int config "beam";
-         candidates = field_int config "candidates";
-         spread = field_bool config "spread";
-         fanin_cap = field_int config "fanin_cap";
+         beam;
+         candidates;
+         spread;
+         fanin_cap;
          priority = Option.value ~default:0 (field_int j "priority");
          deadline_s;
          memo = Option.value ~default:true (field_bool j "memo");

@@ -27,11 +27,14 @@
     {!Hca_machine.Machine_io} text format, inline as one JSON string —
     the path to arbitrary topologies and heterogeneous resource
     tables); giving both is rejected at parse time, and neither means
-    the daemon's reference fabric.  ["trace":true] asks the daemon for
-    a per-request Chrome
-    trace of this submission (written server-side under its trace
-    directory as [req-<id>.json]); tracing never changes any result
-    field.
+    the daemon's reference fabric.  ["config"], when present, is an
+    object whose ["beam"], ["candidates"] and ["fanin_cap"] are
+    integers and ["spread"] a boolean; a value of the wrong type is
+    rejected at parse time, and an integer below 1 at submit time
+    ({!Hca_core.Config.search}), before any job is queued.
+    ["trace":true] asks the daemon for a per-request Chrome trace of
+    this submission (written server-side under its trace directory as
+    [req-<id>.json]); tracing never changes any result field.
 
     Responses always carry ["ok"]: [{"ok":true, ...}] on success,
     [{"ok":false,"error":"..."}] otherwise.  A finished job's result
@@ -57,7 +60,8 @@
     cache_entries   int    subproblem entries in the store right now
     loaded_entries  int    entries inherited from the store file at
                            startup (0 on a cold start)
-    stamp           string the store-compatibility stamp (git + config)
+    stamp           string the store-compatibility stamp: a digest
+                           of the lib/ sources taken at build time
     latency_p50_ms  float  per-request latency quantiles, estimated
     latency_p95_ms  float  from the live hca_request_latency_ms
     latency_p99_ms  float  histogram (0 until a job finished)
@@ -117,9 +121,9 @@ type request =
 
 val request_of_line : string -> (request, string) result
 (** Parse one protocol line.  Malformed JSON, a non-object, a missing
-    or unknown verb, a missing id, an unknown metrics format, or an
-    ambiguous kernel source are all [Error] with a client-presentable
-    message. *)
+    or unknown verb, a missing id, an unknown metrics format, an
+    ambiguous kernel source, or a mistyped ["config"] field are all
+    [Error] with a client-presentable message naming the field. *)
 
 val error_response : string -> string
 (** [{"ok":false,"error":...}] — already newline-free. *)

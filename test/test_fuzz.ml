@@ -6,6 +6,11 @@ open Hca_ddg
 open Hca_machine
 open Hca_gen
 
+(* Paths beside the test binary, where dune puts [corpus/], so the
+   suite passes from any working directory. *)
+let beside_exe name =
+  Filename.concat (Filename.dirname Sys.executable_name) name
+
 (* --- generator ---------------------------------------------------------- *)
 
 let test_generator_deterministic () =
@@ -73,7 +78,7 @@ let test_roundtrip_weird_names () =
    per-level capacities and per-CN tables included), on every generated
    shape and on a heterogeneous 4-level description. *)
 let test_corpus_roundtrip_file () =
-  let dir = "tmp-corpus-roundtrip" in
+  let dir = beside_exe "tmp-corpus-roundtrip" in
   let roundtrip what (inst : Gen.instance) =
     Corpus.write ~dir ~name:"probe" inst (Corpus.Expect_gap 2);
     match Corpus.read (Filename.concat dir "probe.repro") with
@@ -151,7 +156,7 @@ let test_bounded_campaign_green () =
     (Fuzz.summary_line stats')
 
 let test_corpus_replays_clean () =
-  let total, mismatches = Fuzz.replay_dir "corpus" in
+  let total, mismatches = Fuzz.replay_dir (beside_exe "corpus") in
   Alcotest.(check bool) "corpus is not empty" true (total >= 2);
   Alcotest.(check int) "all reproducers replay to their verdict" 0 mismatches
 

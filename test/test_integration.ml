@@ -183,6 +183,38 @@ let test_schedule_validates_hca_mii () =
             (s.Hca_sched.Modulo.ii <= 3 * final))
   | _ -> Alcotest.fail "idcthor must clusterise"
 
+(* --- command line ----------------------------------------------------------- *)
+
+(* An out-of-range search setting is a usage error (exit 124) naming
+   the flag, on every subcommand that takes it: never an uncaught
+   exception, nor a run that prints FAILED. *)
+let test_cli_rejects_search_settings () =
+  let hca =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hca_cli.exe"
+  in
+  let err = Filename.temp_file "hca_cli" ".err" in
+  Fun.protect ~finally:(fun () -> Sys.remove err) @@ fun () ->
+  List.iter
+    (fun (args, expected) ->
+      let what = String.concat " " args in
+      let code =
+        Sys.command
+          (Filename.quote_command hca ~stdout:Filename.null ~stderr:err args)
+      in
+      Alcotest.(check int) (what ^ ": usage error") 124 code;
+      Alcotest.(check (option string))
+        (what ^ ": names the flag")
+        (Some ("hca: option '--" ^ expected ^ "': must be at least 1, got 0"))
+        (In_channel.with_open_bin err In_channel.input_line))
+    [
+      ([ "run"; "fir2dim"; "--fanin-cap"; "0" ], "fanin-cap");
+      ([ "run"; "fir2dim"; "--beam"; "0" ], "beam");
+      ([ "run"; "fir2dim"; "--candidates=0" ], "candidates");
+      ( [ "dse"; "--grid-fanouts"; "4x4"; "--grid-caps"; "4"; "--kernels";
+          "fir2dim"; "--fanin-cap"; "0" ],
+        "fanin-cap" );
+    ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -207,5 +239,10 @@ let () =
       ( "schedule",
         [
           Alcotest.test_case "validates MII" `Slow test_schedule_validates_hca_mii;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "rejects out-of-range search settings" `Quick
+            test_cli_rejects_search_settings;
         ] );
     ]

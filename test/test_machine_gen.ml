@@ -452,6 +452,33 @@ let test_cache_no_cross_machine_hits () =
     (Report.invariant_string cold_a)
     (Report.invariant_string warm_a)
 
+(* ------------------------------------------------------------------ *)
+(* CN addresses: the numbering Machine_desc owns                       *)
+(* ------------------------------------------------------------------ *)
+
+let prop_cn_addresses =
+  QCheck.Test.make
+    ~name:"cn_of_path inverts cn_path, shared_depth is the common prefix"
+    ~count:300
+    QCheck.(triple seed_arb small_nat small_nat)
+    (fun (seed, a, b) ->
+      let m = desc_of_seed seed in
+      let cns = Machine_desc.total_cns m in
+      let a = a mod cns and b = b mod cns in
+      let pa = Machine_desc.cn_path m a and pb = Machine_desc.cn_path m b in
+      let rec common = function
+        | x :: xs, y :: ys when x = y -> 1 + common (xs, ys)
+        | _ -> 0
+      in
+      let shared = Machine_desc.shared_depth m a b in
+      let cluster p =
+        Machine_desc.cn_of_path m (List.filteri (fun i _ -> i < shared) p)
+      in
+      Machine_desc.cn_of_path m pa = a
+      && shared = common (pa, pb)
+      && cluster pa = cluster pb
+      && cluster pa <= min a b)
+
 let () =
   Alcotest.run "machine_gen"
     [
@@ -481,6 +508,7 @@ let () =
             test_dse_ndjson_names;
           QCheck_alcotest.to_alcotest prop_non_dominated;
         ] );
+      ("addressing", [ QCheck_alcotest.to_alcotest prop_cn_addresses ]);
       ( "aliasing",
         [
           QCheck_alcotest.to_alcotest prop_id_injective;

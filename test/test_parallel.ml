@@ -429,7 +429,8 @@ let quality_fields (r : Report.t) =
       r.Report.routed_moves ) )
 
 (* The memo counters are part of the jobs-invariance contract too:
-   only attempts of the sequential walk count towards them. *)
+   they sum over the attempts made, which are the same at every
+   [jobs]. *)
 let report_fields (r : Report.t) =
   ( quality_fields r,
     (r.Report.cache_hits, r.Report.cache_misses, r.Report.reused_subproblems)
@@ -456,14 +457,28 @@ let test_portfolio_jobs_invariant () =
       Alcotest.(check string) (name ^ ": same winner") winner1 winner4)
     Hca_kernels.Registry.all
 
+(* Every registry kernel, including the long climbs of h264deblocking,
+   sad16 and fft_stage: the climb is sequential at every [jobs] and
+   only the patience window runs on the pool. *)
 let test_report_jobs_invariant () =
   let fabric = Dspfabric.reference in
-  let ddg = Hca_kernels.Fir2dim.ddg () in
-  let seq = Report.run ~jobs:1 fabric ddg in
-  let par = Report.run ~jobs:4 fabric ddg in
-  Alcotest.(check bool)
-    "Report.run jobs=4 = jobs=1" true
-    (report_fields seq = report_fields par)
+  let fingerprint (r : Report.t) =
+    ( Report.invariant_string r,
+      (r.Report.cache_hits, r.Report.cache_misses, r.Report.reused_subproblems)
+    )
+  in
+  List.iter
+    (fun (name, f) ->
+      let ddg = f () in
+      let seq = fingerprint (Report.run ~jobs:1 fabric ddg) in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (pair string (triple int int int)))
+            (Printf.sprintf "%s: Report.run jobs=%d = jobs=1" name jobs)
+            seq
+            (fingerprint (Report.run ~jobs fabric ddg)))
+        [ 2; 4 ])
+    Hca_kernels.Registry.extended
 
 let test_memo_invariant () =
   let fabric = Dspfabric.reference in

@@ -11,6 +11,11 @@ let tmp_store name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "hca_test_%s_%d.bin" name (Unix.getpid ()))
 
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  n = 0 || go 0
+
 (* ------------------------------------------------------------------ *)
 (* Protocol                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -94,7 +99,19 @@ let test_protocol_rejects () =
      be a string. *)
   expect_error
     {|{"verb":"submit","kernel":"a","machine":{"n":8,"m":8,"k":8},"machine_desc":"machine x\n"}|};
-  expect_error {|{"verb":"submit","kernel":"a","machine_desc":42}|}
+  expect_error {|{"verb":"submit","kernel":"a","machine_desc":42}|};
+  (* A config value of the wrong type is an error, never dropped. *)
+  List.iter
+    (fun field ->
+      List.iter
+        (fun v ->
+          expect_error
+            (Printf.sprintf {|{"verb":"submit","kernel":"a","config":{"%s":%s}}|}
+               field v))
+        [ "2.5"; {|"4"|}; "null" ])
+    [ "beam"; "candidates"; "fanin_cap" ];
+  expect_error {|{"verb":"submit","kernel":"a","config":{"spread":1}}|};
+  expect_error {|{"verb":"submit","kernel":"a","config":7}|}
 
 (* ------------------------------------------------------------------ *)
 (* Job queue                                                           *)
@@ -265,7 +282,28 @@ let test_daemon_rejects () =
        (line_of (Daemon.handle_line t {|{"verb":"submit","kernel":"nope"}|})));
   ignore
     (err_json
-       (line_of (Daemon.handle_line t {|{"verb":"submit","ddg":"garbage"}|})))
+       (line_of (Daemon.handle_line t {|{"verb":"submit","ddg":"garbage"}|})));
+  (* Out-of-range or mistyped search settings are refused at submit,
+     naming the field: no job is queued and the store gains no entry. *)
+  List.iter
+    (fun field ->
+      List.iter
+        (fun v ->
+          let line =
+            Printf.sprintf
+              {|{"verb":"submit","kernel":"fir2dim","config":{"%s":%s}}|}
+              field v
+          in
+          let e = jstr (err_json (line_of (Daemon.handle_line t line))) "error" in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s names config.%s: %s" line field e)
+            true
+            (contains ~sub:("config." ^ field) e))
+        [ "0"; "-3"; "2.5" ])
+    [ "beam"; "candidates"; "fanin_cap" ];
+  let st = ok_json (line_of (Daemon.handle_line t {|{"verb":"stats"}|})) in
+  Alcotest.(check int) "nothing queued" 0 (jint st "submitted");
+  Alcotest.(check int) "store untouched" 0 (jint st "cache_entries")
 
 let test_daemon_cancel_and_shutdown () =
   let t = Daemon.create () in
@@ -557,11 +595,6 @@ let tmp_dir name =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "hca_test_%s_%d" name (Unix.getpid ()))
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  n = 0 || go 0
-
 let jnum j k = Option.get (Option.bind (Json.member k j) Json.num)
 
 let test_metrics_verb_roundtrip () =
@@ -733,6 +766,39 @@ let test_stats_telemetry_fields () =
 
 (* ------------------------------------------------------------------ *)
 
+(* The load-test client computes its percentiles itself: a trace the
+   caller recorded before the run survives it, and the tracer stays
+   off. *)
+let test_loadtest_leaves_tracer_alone () =
+  let hca =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hca_cli.exe"
+  in
+  let socket = tmp_dir "loadtest" ^ ".sock" in
+  let null = Unix.openfile Filename.null [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process hca
+      [| hca; "serve"; "--socket"; socket; "-j"; "1" |]
+      Unix.stdin null null
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.kill pid Sys.sigterm;
+      ignore (Unix.waitpid [] pid);
+      Unix.close null;
+      if Sys.file_exists socket then Sys.remove socket;
+      Obs.reset ())
+    (fun () ->
+      Obs.reset ();
+      Obs.enable ();
+      Obs.span "test.before" ignore;
+      Obs.disable ();
+      let before = Obs.events () in
+      (match Loadtest.run ~path:socket ~count:2 ~jobs:1 ~max_size:6 () with
+      | Ok s -> Alcotest.(check int) "both served" 2 s.Loadtest.ok
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check bool) "tracer still off" false (Obs.enabled ());
+      Alcotest.(check bool) "earlier trace intact" true (Obs.events () = before))
+
 let () =
   Alcotest.run "serve"
     [
@@ -794,5 +860,10 @@ let () =
             test_flight_dump_on_slow;
           Alcotest.test_case "stats telemetry fields" `Quick
             test_stats_telemetry_fields;
+        ] );
+      ( "loadtest",
+        [
+          Alcotest.test_case "leaves the tracer alone" `Quick
+            test_loadtest_leaves_tracer_alone;
         ] );
     ]
