@@ -13,9 +13,20 @@
     - in strict mode, [e(a,b)]: some value flows from CN [a] to CN [b]
       (the real-arc indicator bounded by the {!Hca_machine.Pattern_graph}
       MUX capacity), and [w(s,c)]: the value of [s] leaves CN [c]
-      (single-out-wire payload serialisation).
+      (single-out-wire payload serialisation);
+    - [u(i,j)]: true only if some node [<= i] sits on the [j]-th CN of
+      a capacity group (symmetry breaking, below).
 
     Cardinality bounds use the Sinz sequential-counter encoding.
+
+    CNs with equal resource tables ({!Hca_machine.Resource.equal}) form
+    a capacity group, and permuting a group maps models to models.  So
+    the formula keeps only {e canonical} models: within each group, in
+    CN order, a CN hosts a node only if the CN before it hosts an
+    earlier node (value precedence through [u(i,j)]).  Any model
+    relabelled within its groups in order of first use is canonical,
+    so every verdict is that of the plain encoding; a decoded
+    assignment is canonical, never an arbitrary relabelling.
 
     Strict mode reproduces the {e structural} wire constraints the SEE
     enforces through {!Hca_machine.Copy_flow}; the default relaxed mode

@@ -33,25 +33,39 @@ type request =
 
 let ( let* ) = Result.bind
 
-let field_int j k = Option.bind (Json.member k j) Json.int
+(* An optional field is absent or of its type: one of the wrong type is
+   an error naming the field, never silently dropped.  [path] prefixes
+   the name of a field nested in an object ("config."). *)
+let optional conv what ?(path = "") j k =
+  match Json.member k j with
+  | None -> Ok None
+  | Some v -> (
+      match conv v with
+      | Some _ as x -> Ok x
+      | None -> Error (Printf.sprintf "\"%s%s\" must be %s" path k what))
 
-let field_bool j k = Option.bind (Json.member k j) Json.bool
+let opt_int = optional Json.int "an integer"
+
+let opt_bool = optional Json.bool "a boolean"
+
+let opt_str = optional Json.str "a string"
 
 let required_id j =
-  match field_int j "id" with
-  | Some id when id >= 0 -> Ok id
-  | Some _ -> Error "\"id\" must be non-negative"
-  | None -> Error "missing integer field \"id\""
+  match opt_int j "id" with
+  | Ok (Some id) when id >= 0 -> Ok id
+  | Ok (Some _) -> Error "\"id\" must be non-negative"
+  | Ok None -> Error "missing integer field \"id\""
+  | Error _ as e -> e
 
 let source_of j =
-  let named = Option.bind (Json.member "kernel" j) Json.str in
-  let inline = Option.bind (Json.member "ddg" j) Json.str in
-  let seed = field_int j "gen_seed" in
+  let* named = opt_str j "kernel" in
+  let* inline = opt_str j "ddg" in
+  let* seed = opt_int j "gen_seed" in
+  let* max_size = opt_int j "gen_max_size" in
   match (named, inline, seed) with
   | Some k, None, None -> Ok (Named k)
   | None, Some d, None -> Ok (Inline d)
-  | None, None, Some seed ->
-      Ok (Gen { seed; max_size = field_int j "gen_max_size" })
+  | None, None, Some seed -> Ok (Gen { seed; max_size })
   | None, None, None ->
       Error "submit needs a kernel source: \"kernel\", \"ddg\" or \"gen_seed\""
   | _ ->
@@ -63,23 +77,16 @@ let machine_of j =
   match Json.member "machine" j with
   | None -> Ok None
   | Some m -> (
-      match (field_int m "n", field_int m "m", field_int m "k") with
+      let dim k = Option.bind (Json.member k m) Json.int in
+      match (dim "n", dim "m", dim "k") with
       | Some n, Some mm, Some k when n > 0 && mm > 0 && k > 0 ->
           Ok (Some (n, mm, k))
       | _ -> Error "\"machine\" must be {\"n\":int,\"m\":int,\"k\":int} > 0")
 
-let machine_desc_of j =
-  match Json.member "machine_desc" j with
-  | None -> Ok None
-  | Some v -> (
-      match Json.str v with
-      | Some text -> Ok (Some text)
-      | None -> Error "\"machine_desc\" must be a string (.machine text)")
-
 let submit_of j =
   let* source = source_of j in
   let* machine = machine_of j in
-  let* machine_desc = machine_desc_of j in
+  let* machine_desc = opt_str j "machine_desc" in
   let* () =
     match (machine, machine_desc) with
     | Some _, Some _ ->
@@ -92,18 +99,13 @@ let submit_of j =
     | Some (Json.Obj _ as c) -> Ok c
     | Some _ -> Error "\"config\" must be an object"
   in
-  (* A config field is optional, but one of the wrong type is an error,
-     never silently dropped. *)
-  let setting conv what k =
-    match Option.map conv (Json.member k config) with
-    | None -> Ok None
-    | Some (Some _ as v) -> Ok v
-    | Some None -> Error (Printf.sprintf "\"config.%s\" must be %s" k what)
-  in
-  let* beam = setting Json.int "an integer" "beam" in
-  let* candidates = setting Json.int "an integer" "candidates" in
-  let* spread = setting Json.bool "a boolean" "spread" in
-  let* fanin_cap = setting Json.int "an integer" "fanin_cap" in
+  let* beam = opt_int ~path:"config." config "beam" in
+  let* candidates = opt_int ~path:"config." config "candidates" in
+  let* spread = opt_bool ~path:"config." config "spread" in
+  let* fanin_cap = opt_int ~path:"config." config "fanin_cap" in
+  let* priority = opt_int j "priority" in
+  let* memo = opt_bool j "memo" in
+  let* trace = opt_bool j "trace" in
   let* deadline_s =
     match Json.member "deadline_s" j with
     | None -> Ok None
@@ -122,10 +124,10 @@ let submit_of j =
          candidates;
          spread;
          fanin_cap;
-         priority = Option.value ~default:0 (field_int j "priority");
+         priority = Option.value ~default:0 priority;
          deadline_s;
-         memo = Option.value ~default:true (field_bool j "memo");
-         trace = Option.value ~default:false (field_bool j "trace");
+         memo = Option.value ~default:true memo;
+         trace = Option.value ~default:false trace;
        })
 
 let request_of_line line =
@@ -141,13 +143,15 @@ let request_of_line line =
       Ok (Status id)
   | Some "result" ->
       let* id = required_id j in
-      Ok (Result { id; wait = Option.value ~default:false (field_bool j "wait") })
+      let* wait = opt_bool j "wait" in
+      Ok (Result { id; wait = Option.value ~default:false wait })
   | Some "cancel" ->
       let* id = required_id j in
       Ok (Cancel id)
   | Some "stats" -> Ok Stats
   | Some "metrics" -> (
-      match Option.bind (Json.member "format" j) Json.str with
+      let* format = opt_str j "format" in
+      match format with
       | None | Some "json" -> Ok (Metrics Json_metrics)
       | Some "prometheus" -> Ok (Metrics Prometheus)
       | Some f ->

@@ -21,7 +21,10 @@
     as a JSON string), or ["gen_seed"] (+ optional ["gen_max_size"]) —
     the seeded {!Hca_gen.Gen} generator, which is what the load-test
     client replays.  Everything but the verb and the source is
-    optional.  The machine is exactly one of ["machine"] (the
+    optional, but a field given with the wrong type (a string
+    ["priority"], a non-boolean ["memo"], ["trace"] or ["wait"], a
+    non-string ["kernel"]) is rejected naming it, never dropped.  The
+    machine is exactly one of ["machine"] (the
     [{"n":..,"m":..,"k":..}] MUX capacities of the reference-shaped
     fabric) or ["machine_desc"] (a full machine description in the
     {!Hca_machine.Machine_io} text format, inline as one JSON string —
@@ -122,7 +125,7 @@ type request =
 val request_of_line : string -> (request, string) result
 (** Parse one protocol line.  Malformed JSON, a non-object, a missing
     or unknown verb, a missing id, an unknown metrics format, an
-    ambiguous kernel source, or a mistyped ["config"] field are all
+    ambiguous kernel source, or any field of the wrong type are all
     [Error] with a client-presentable message naming the field. *)
 
 val error_response : string -> string

@@ -14,21 +14,24 @@
 # It prints both sides' medians, the median ratio and the bound for
 # every workload and metric.
 #
-# Each workload stands in for a single-sample gate it replaced:
-#   compile_suite  hca run over 20 kernels    (table1 h264deblocking runtime budget)
-#   dse_sweep      the Domain_pool workload   (hca dse sweep runtime budget)
-#   serve_cold     hca serve arms the flight  (flight-ring overhead budget)
-#                  ring by default
+# Each workload stands in for a single-sample gate it replaced, or
+# times a layer no other workload reaches:
+#   compile_suite   hca run over 20 kernels    (table1 h264deblocking runtime budget)
+#   dse_sweep       the Domain_pool workload   (hca dse sweep runtime budget)
+#   serve_cold      hca serve arms the flight  (flight-ring overhead budget)
+#                   ring by default
+#   oracle_certify  hca exact verdicts: the only CDCL workload, timed
+#                   only by hand before
 #
-# One pair of the three workloads takes about a minute on a 2-vCPU
-# machine.  The worktree lives under $TMPDIR and is removed at exit;
+# One pair of the four workloads takes about a minute and a quarter on
+# a 2-vCPU machine.  The worktree lives under $TMPDIR and is removed at exit;
 # the dune cache is off so the builds write nothing outside the trees.
 set -euo pipefail
 
 PAIRS=5
 SECONDS_PER_RUN=5
 FIRST_SEED=1
-WORKLOADS="compile_suite dse_sweep serve_cold"
+WORKLOADS="compile_suite dse_sweep serve_cold oracle_certify"
 
 if [ $# -ne 1 ]; then
   echo "usage: $0 <base-ref>" >&2

@@ -210,6 +210,130 @@ let test_counter_ladder () =
   Alcotest.check result "no bound assumed" Sat.Sat (Sat.solve ~assumptions:vars s)
 
 (* ------------------------------------------------------------------ *)
+(* Symmetry breaking, pinned to the plain reference encoding.           *)
+(* ------------------------------------------------------------------ *)
+
+(* Kernels of at most 11 nodes: the plain side refutes every relabelling
+   of equal-capacity CNs separately, which on 12-node kernels already
+   takes seconds for about one seed in a hundred. *)
+let small_knobs = { Hca_gen.Gen.default_ddg_knobs with max_size = 11 }
+
+let flat_problem ?(knobs = small_knobs) ~hetero seed =
+  Hca_core.Problem.flat
+    (Hca_gen.Gen.desc ~hetero ~seed ())
+    (Hca_gen.Gen.ddg ~knobs ~seed ())
+
+(* Permuting CNs within a capacity group maps models to models, so the
+   precedence clauses may drop models but never a verdict: at every
+   bound, in both modes, the two encodings must agree. *)
+let prop_verdicts_match_ref ~hetero =
+  QCheck.Test.make ~count:30
+    ~name:(Printf.sprintf "verdicts = plain encoding (hetero %.1f)" hetero)
+    (QCheck.int_range 0 100_000)
+    (fun seed ->
+      let problem = flat_problem ~hetero seed in
+      let inst = Encode.of_problem problem in
+      let plain = Encode_ref.of_problem problem in
+      List.for_all
+        (fun strict ->
+          List.for_all
+            (fun k ->
+              Sat.solve (Encode.encode ~strict inst ~k).Encode.sat
+              = Sat.solve (Encode_ref.encode ~strict plain ~k).Encode_ref.sat)
+            (List.init (min 6 (Encode.size inst)) (fun i -> i + 1)))
+        [ false; true ])
+
+(* The CNs of [plain] grouped by equal capacity table, each in CN order. *)
+let capacity_groups (plain : Encode_ref.instance) =
+  let cap = plain.Encode_ref.capacity in
+  let cns = List.init plain.Encode_ref.cns Fun.id in
+  List.filter_map
+    (fun c0 ->
+      let group = List.filter (fun c -> Resource.equal cap.(c0) cap.(c)) cns in
+      if List.hd group = c0 then Some group else None)
+    cns
+
+(* The CNs of [group] that host a node, in order of first use. *)
+let first_uses group a =
+  Array.fold_left
+    (fun used c ->
+      if List.mem c group && not (List.mem c used) then used @ [ c ] else used)
+    [] a
+
+(* Relabels [a] within each group so that the i-th CN used becomes the
+   group's i-th CN. *)
+let canonical (plain : Encode_ref.instance) a =
+  let groups = capacity_groups plain in
+  let perm = Array.init plain.Encode_ref.cns Fun.id in
+  List.iter
+    (fun group ->
+      List.iteri (fun i c -> perm.(c) <- List.nth group i) (first_uses group a))
+    groups;
+  Array.map (fun c -> perm.(c)) a
+
+(* Does the symmetry-broken encoding at bound [k] accept exactly the
+   assignment [a]?  Assumptions fix every x(n,c). *)
+let admits ~strict inst ~k a =
+  let enc = Encode.encode ~strict inst ~k in
+  let fix =
+    List.concat
+      (List.mapi
+         (fun nd row ->
+           List.mapi (fun c v -> if a.(nd) = c then v else -v) (Array.to_list row))
+         (Array.to_list enc.Encode.assign_var))
+  in
+  Sat.solve ~assumptions:fix enc.Encode.sat
+
+let test_canonical_form () =
+  List.iter
+    (fun (hetero, strict) ->
+      let seed = 3 in
+      let problem =
+        flat_problem ~knobs:Hca_gen.Gen.default_ddg_knobs ~hetero seed
+      in
+      let inst = Encode.of_problem problem in
+      let plain = Encode_ref.of_problem problem in
+      let label = Printf.sprintf "hetero %.1f%s" hetero (if strict then " strict" else "") in
+      (* The tightest bound spreads the model over the most CNs. *)
+      let rec tightest k =
+        if Sat.solve (Encode.encode ~strict inst ~k).Encode.sat = Sat.Sat then k
+        else tightest (k + 1)
+      in
+      let k = tightest 1 in
+      let enc = Encode_ref.encode ~strict plain ~k in
+      Alcotest.check result (label ^ ": plain side sat") Sat.Sat
+        (Sat.solve enc.Encode_ref.sat);
+      let a = canonical plain (Encode_ref.decode plain enc) in
+      Alcotest.check result (label ^ ": canonical relabelling accepted") Sat.Sat
+        (admits ~strict inst ~k a);
+      (* Swapping two used CNs of one group inverts their first uses. *)
+      let swaps = ref 0 in
+      List.iter
+        (fun group ->
+          let used = first_uses group a in
+          List.iter
+            (fun c ->
+              List.iter
+                (fun c' ->
+                  if c < c' then begin
+                    incr swaps;
+                    let swapped =
+                      Array.map
+                        (fun x -> if x = c then c' else if x = c' then c else x)
+                        a
+                    in
+                    Alcotest.check result
+                      (Printf.sprintf "%s: CNs %d and %d swapped refuted" label c c')
+                      Sat.Unsat
+                      (admits ~strict inst ~k swapped)
+                  end)
+                used)
+            used)
+        (capacity_groups plain);
+      Alcotest.(check bool) (label ^ ": some group uses two CNs") true (!swaps > 0))
+    [ (0., false); (0., true); (0.5, false); (0.5, true) ]
+
+(* ------------------------------------------------------------------ *)
 (* Incremental vs fresh equivalence, with and without clause reuse.     *)
 (* ------------------------------------------------------------------ *)
 
@@ -220,14 +344,14 @@ let test_counter_ladder () =
    single k — which also pins the certified optimum. *)
 (* Indexed ascending by k (element i is the verdict at k = i + 1); the
    incremental solvers still probe in the oracle's downward order. *)
-let probe_every_k inst ~max_k =
+let probe_every_k ~strict inst ~max_k =
   let fresh =
     List.init max_k (fun i ->
-        let enc = Encode.encode inst ~k:(i + 1) in
+        let enc = Encode.encode ~strict inst ~k:(i + 1) in
         Sat.solve enc.Encode.sat)
   in
   let incremental ~reuse =
-    let inc = Encode.make inst ~max_k in
+    let inc = Encode.make ~strict inst ~max_k in
     let sat = inc.Encode.enc.Encode.sat in
     List.rev_map
       (fun k ->
@@ -240,22 +364,25 @@ let probe_every_k inst ~max_k =
 
 let test_incremental_vs_fresh () =
   List.iter
-    (fun seed ->
+    (fun (seed, strict) ->
       let ddg = Hca_gen.Gen.ddg ~seed () in
       let fabric = Hca_gen.Gen.fabric ~seed () in
       let inst = Encode.of_problem (Hca_core.Problem.flat fabric ddg) in
       let max_k = min 6 (Encode.size inst) in
-      let fresh, inc_reuse, inc_noreuse = probe_every_k inst ~max_k in
+      let fresh, inc_reuse, inc_noreuse = probe_every_k ~strict inst ~max_k in
       let check_against label =
         List.iteri (fun i v ->
             Alcotest.check result
-              (Printf.sprintf "seed %d k=%d %s matches fresh" seed (i + 1)
-                 label)
+              (Printf.sprintf "seed %d%s k=%d %s matches fresh" seed
+                 (if strict then " strict" else "")
+                 (i + 1) label)
               (List.nth fresh i) v)
       in
       check_against "reuse" inc_reuse;
       check_against "no-reuse" inc_noreuse)
-    [ 3; 11; 23 ]
+    (List.concat_map
+       (fun seed -> [ (seed, false); (seed, true) ])
+       [ 3; 11; 23 ])
 
 let test_oracle_reuse_equivalence () =
   (* Same verdict and same certified bounds with and without clause
@@ -417,6 +544,12 @@ let () =
           Alcotest.test_case "at most k" `Quick test_at_most;
           Alcotest.test_case "at most 0" `Quick test_at_most_zero;
           Alcotest.test_case "counter ladder" `Quick test_counter_ladder;
+        ] );
+      ( "symmetry",
+        [
+          QCheck_alcotest.to_alcotest (prop_verdicts_match_ref ~hetero:0.);
+          QCheck_alcotest.to_alcotest (prop_verdicts_match_ref ~hetero:0.5);
+          Alcotest.test_case "canonical form" `Quick test_canonical_form;
         ] );
       ( "incremental",
         [

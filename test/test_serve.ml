@@ -111,7 +111,34 @@ let test_protocol_rejects () =
         [ "2.5"; {|"4"|}; "null" ])
     [ "beam"; "candidates"; "fanin_cap" ];
   expect_error {|{"verb":"submit","kernel":"a","config":{"spread":1}}|};
-  expect_error {|{"verb":"submit","kernel":"a","config":7}|}
+  expect_error {|{"verb":"submit","kernel":"a","config":7}|};
+  (* Every other optional field of the wrong type is refused too, and the
+     message names it rather than a missing kernel source. *)
+  let expect_named field line =
+    match Protocol.request_of_line line with
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s names %s: %s" line field e)
+          true
+          (contains ~sub:(Printf.sprintf "\"%s\"" field) e)
+    | Ok _ -> Alcotest.failf "accepted %s" line
+  in
+  List.iter
+    (fun (field, line) -> expect_named field line)
+    [
+      ( "priority",
+        {|{"verb":"submit","kernel":"fir2dim","memo":"no","priority":"high","trace":1}|}
+      );
+      ("priority", {|{"verb":"submit","kernel":"a","priority":"high"}|});
+      ("memo", {|{"verb":"submit","kernel":"a","memo":"no"}|});
+      ("trace", {|{"verb":"submit","kernel":"a","trace":1}|});
+      ("gen_max_size", {|{"verb":"submit","gen_seed":3,"gen_max_size":"8"}|});
+      ("kernel", {|{"verb":"submit","kernel":7}|});
+      ("ddg", {|{"verb":"submit","ddg":["x"]}|});
+      ("gen_seed", {|{"verb":"submit","gen_seed":"3"}|});
+      ("wait", {|{"verb":"result","id":0,"wait":"yes"}|});
+      ("format", {|{"verb":"metrics","format":1}|});
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Job queue                                                           *)
@@ -301,6 +328,16 @@ let test_daemon_rejects () =
             (contains ~sub:("config." ^ field) e))
         [ "0"; "-3"; "2.5" ])
     [ "beam"; "candidates"; "fanin_cap" ];
+  (* Mistyped optional fields outside "config" likewise: the job must
+     not run with the memo on, at priority 0 and untraced. *)
+  let line =
+    {|{"verb":"submit","kernel":"fir2dim","memo":"no","priority":"high","trace":1}|}
+  in
+  let e = jstr (err_json (line_of (Daemon.handle_line t line))) "error" in
+  Alcotest.(check bool)
+    (Printf.sprintf "%s names priority: %s" line e)
+    true
+    (contains ~sub:{|"priority"|} e);
   let st = ok_json (line_of (Daemon.handle_line t {|{"verb":"stats"}|})) in
   Alcotest.(check int) "nothing queued" 0 (jint st "submitted");
   Alcotest.(check int) "store untouched" 0 (jint st "cache_entries")
