@@ -220,8 +220,9 @@ let run_cmd =
       value & flag
       & info [ "no-memo" ]
           ~doc:
-            "Disable the cross-probe subproblem memo cache.  Every field \
-             except the runtime is identical with or without it.")
+            "Disable the cross-probe subproblem memo cache and the \
+             set-level search reuse across IIs.  Every field except the \
+             runtime is identical with or without them.")
   in
   let stats =
     Arg.(
@@ -254,7 +255,8 @@ let profile_cmd =
   let no_memo =
     Arg.(
       value & flag
-      & info [ "no-memo" ] ~doc:"Profile without the subproblem memo cache.")
+      & info [ "no-memo" ]
+          ~doc:"Profile without the subproblem memo cache and search reuse.")
   in
   Cmd.v
     (Cmd.info "profile"

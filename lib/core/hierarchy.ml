@@ -122,6 +122,75 @@ let restore (s : snapshot) : cache =
   Array.iter (fun (k, e) -> cache_store cache k e) s;
   cache
 
+(* {1 Reuse across II probes}
+
+   A set-level search reads the II only through its capacity window, and
+   {!See.outcome.window} says at which windows it would come back
+   unchanged.  One table per run (kernel, machine, configuration and
+   target II fixed) keeps, per subproblem, the problem it built — which
+   no II reads — and its successful outcomes, so a later probe whose
+   window falls inside a stored one skips the search.  Leaves are left
+   out: they search at the probe's own II, and their working sets and
+   interfaces change with every parent alternative, so storing them
+   costs memory for little reuse. *)
+
+type wkey = { w_level : int; w_path : int list; w_ws : int list; w_ili : Ili.t }
+
+type wentry = {
+  built : (Problem.t * (int * int) list, string) result;
+      (* the problem and its backbone *)
+  mutable outcomes : See.outcome list;
+      (* successes, each cut to the states [commit] reads *)
+}
+
+type windows = { lock : Mutex.t; table : (wkey, wentry) Hashtbl.t }
+
+let create_windows () = { lock = Mutex.create (); table = Hashtbl.create 64 }
+
+let covers ~ii (o : See.outcome) = fst o.window <= ii && ii <= snd o.window
+
+(* The built problem and the outcome of searching it at [ii]: a stored
+   one whose window holds [ii], else [search]'s, then stored with the
+   [keep] states [commit] reads.  The climb only goes up, so outcomes
+   wholly below [ii] are dropped.  Domains racing on one key at most
+   turn a hit into a miss, which searches to the same outcome. *)
+let reuse_search w key ~ii ~build ~search ~keep =
+  let e, hit =
+    Mutex.protect w.lock (fun () ->
+        let e =
+          match Hashtbl.find_opt w.table key with
+          | Some e ->
+              e.outcomes <-
+                List.filter
+                  (fun (o : See.outcome) -> snd o.window >= ii)
+                  e.outcomes;
+              e
+          | None ->
+              let e = { built = build (); outcomes = [] } in
+              Hashtbl.add w.table key e;
+              e
+        in
+        (e, List.find_opt (covers ~ii) e.outcomes))
+  in
+  let* ((problem, _) as built) = e.built in
+  match hit with
+  | Some outcome ->
+      Hca_obs.Obs.count "see.window_hit" 1;
+      Ok (problem, outcome)
+  | None ->
+      let* outcome = search built in
+      let outcome =
+        {
+          outcome with
+          See.alternatives =
+            List.filteri (fun i _ -> i < keep - 1) outcome.See.alternatives;
+        }
+      in
+      Mutex.protect w.lock (fun () ->
+          if not (List.exists (covers ~ii) e.outcomes) then
+            e.outcomes <- outcome :: e.outcomes);
+      Ok (problem, outcome)
+
 let rec count_subresults sub =
   Array.fold_left
     (fun acc c -> match c with None -> acc | Some s -> acc + count_subresults s)
@@ -132,7 +201,8 @@ let path_name path =
   | [] -> "0"
   | _ -> "0," ^ String.concat "," (List.map string_of_int path)
 
-let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
+let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
+    ddg ~ii =
   Hca_obs.Obs.span "hierarchy.solve"
     ~args:[ ("kernel", Ddg.name ddg); ("ii", string_of_int ii) ]
   @@ fun () ->
@@ -209,50 +279,54 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
        descriptions differ per child. *)
     let child_caps = Dspfabric.child_capacities fabric ~path in
     let name = path_name path in
-    (* Every wire into a child burns one of the child's own input
-       slots at the next level down, so stay well under the MUX
-       capacity at every set level. *)
-    let max_in =
-      if view.Dspfabric.is_leaf then view.Dspfabric.mux_capacity
-      else min view.Dspfabric.mux_capacity config.Config.leaf_feed_fanin_cap
-    in
-    let pg_base =
-      Pattern_graph.complete ~name ~capacities:child_caps ~max_in
-    in
-    let pg =
-      Pattern_graph.with_ports pg_base ~inputs:ili.Ili.inputs
-        ~outputs:ili.Ili.outputs
-    in
-    let* problem =
-      Problem.of_working_set ~name ~ddg ~ws ~pg
-        ~max_in_ports:view.Dspfabric.max_in_ports ()
-    in
-    (* Planned topology backbone: greedy assignment deadlocks when the
-       scarce input slots fill before every father wire has a landing
-       point, so (i) every input port gets one pre-committed delivery
-       arc, round-robin over the clusters, and (ii) the leftover slots
-       close a ring between the clusters so any value can still reach
-       any cluster by forwarding.  Reservations only shape the search:
-       unused ones cost nothing at mapping time. *)
-    let backbone =
-      let c = view.Dspfabric.children in
-      let slots = Array.make c max_in in
-      let arcs = ref [] in
-      List.iteri
-        (fun j (nd : Pattern_graph.node) ->
-          let ch = j mod c in
-          if slots.(ch) > 0 then begin
-            arcs := (nd.Pattern_graph.id, ch) :: !arcs;
-            slots.(ch) <- slots.(ch) - 1
-          end)
-        (Pattern_graph.in_ports pg);
-      for i = 0 to c - 1 do
-        if slots.(i) > 0 then begin
-          arcs := ((i + 1) mod c, i) :: !arcs;
-          slots.(i) <- slots.(i) - 1
-        end
-      done;
-      !arcs
+    (* The problem and its backbone: nothing here reads the II. *)
+    let build () =
+      (* Every wire into a child burns one of the child's own input
+         slots at the next level down, so stay well under the MUX
+         capacity at every set level. *)
+      let max_in =
+        if view.Dspfabric.is_leaf then view.Dspfabric.mux_capacity
+        else min view.Dspfabric.mux_capacity config.Config.leaf_feed_fanin_cap
+      in
+      let pg_base =
+        Pattern_graph.complete ~name ~capacities:child_caps ~max_in
+      in
+      let pg =
+        Pattern_graph.with_ports pg_base ~inputs:ili.Ili.inputs
+          ~outputs:ili.Ili.outputs
+      in
+      let* problem =
+        Problem.of_working_set ~name ~ddg ~ws ~pg
+          ~max_in_ports:view.Dspfabric.max_in_ports ()
+      in
+      (* Planned topology backbone: greedy assignment deadlocks when the
+         scarce input slots fill before every father wire has a landing
+         point, so (i) every input port gets one pre-committed delivery
+         arc, round-robin over the clusters, and (ii) the leftover slots
+         close a ring between the clusters so any value can still reach
+         any cluster by forwarding.  Reservations only shape the search:
+         unused ones cost nothing at mapping time. *)
+      let backbone =
+        let c = view.Dspfabric.children in
+        let slots = Array.make c max_in in
+        let arcs = ref [] in
+        List.iteri
+          (fun j (nd : Pattern_graph.node) ->
+            let ch = j mod c in
+            if slots.(ch) > 0 then begin
+              arcs := (nd.Pattern_graph.id, ch) :: !arcs;
+              slots.(ch) <- slots.(ch) - 1
+            end)
+          (Pattern_graph.in_ports pg);
+        for i = 0 to c - 1 do
+          if slots.(i) > 0 then begin
+            arcs := ((i + 1) mod c, i) :: !arcs;
+            slots.(i) <- slots.(i) - 1
+          end
+        done;
+        !arcs
+      in
+      Ok (problem, backbone)
     in
     (* Set levels keep ~20% issue headroom: the levels below will add
        receive and forwarding operations this level cannot see, and a
@@ -271,7 +345,20 @@ let solve ?(config = Config.default) ?target_ii ?cache ?stats fabric ddg ~ii =
         max floor_ii (ii * 4 / 5)
       end
     in
-    let* outcome = See.solve ~config ~target_ii ~backbone problem ~ii:see_ii in
+    let search (problem, backbone) =
+      See.solve ~config ~target_ii ~backbone problem ~ii:see_ii
+    in
+    let* problem, outcome =
+      match windows with
+      | Some w when not view.Dspfabric.is_leaf ->
+          reuse_search w
+            { w_level = level; w_path = path; w_ws = ws; w_ili = ili }
+            ~ii:see_ii ~build ~search ~keep:config.Config.max_alternatives
+      | _ ->
+          let* ((problem, _) as built) = build () in
+          Result.map (fun outcome -> (problem, outcome)) (search built)
+    in
+    let pg = Problem.pg problem in
     explored := !explored + outcome.See.explored;
     routed := !routed + outcome.See.routed;
     (* Wires made here become input ports of the children; packing them

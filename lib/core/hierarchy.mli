@@ -89,10 +89,25 @@ val snapshot_length : snapshot -> int
 val cache_length : cache -> int
 (** Entries currently stored, over all stripes. *)
 
+(** {1 Reuse across II probes} *)
+
+type windows
+(** One run's set-level search table: per set-level subproblem (level,
+    path, working set, ILI), the problem it built and the successful
+    SEE outcomes with their {!See.outcome.window}s.  A probe whose
+    set-level capacity window falls inside a stored window reuses that
+    outcome — the very one a search would return — instead of
+    searching, and counts [see.window_hit].  Domain-safe. *)
+
+val create_windows : unit -> windows
+(** A table for the probes of {e one} (kernel, machine, configuration,
+    target II): its keys do not hold them. *)
+
 val solve :
   ?config:Config.t ->
   ?target_ii:int ->
   ?cache:cache ->
+  ?windows:windows ->
   ?stats:stats ->
   Dspfabric.t ->
   Ddg.t ->
@@ -101,8 +116,9 @@ val solve :
 (** One full HCA pass with capacity window [ii] (cost functions aim at
     [target_ii], default [ii]).  Fails with the path and node of the
     first subproblem that admits no legal clusterisation.  [cache]
-    memoises subproblem solutions across calls; [stats] accumulates the
-    hit/miss counters of this call. *)
+    memoises subproblem solutions across calls; [windows] reuses
+    set-level searches across the calls of one run; [stats] accumulates
+    the hit/miss counters of this call.  Neither changes the result. *)
 
 val subresults : t -> subresult list
 (** Pre-order walk of the problem tree. *)

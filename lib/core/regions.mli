@@ -7,7 +7,7 @@
     the beam search still chooses the clusters — so there may be more
     regions than PG nodes; each is simply presented consecutively. *)
 
-val partition : Problem.t -> capacity:int -> int array
+val partition : Problem.t -> capacity:int -> int array * int option
 (** [partition problem ~capacity] returns a region index per problem
     node ([-1] for pinned port nodes).  Each region holds at most
     [capacity] nodes.  Regions are numbered in discovery order, seeds
@@ -20,7 +20,13 @@ val partition : Problem.t -> capacity:int -> int array
     Affinity between two free nodes counts their direct dependences,
     plus a strong bonus for feeding the same output port (they must end
     up on the same cluster: unary port fan-in) and a mild bonus for
-    consuming the same input-port value (sharing one delivered copy). *)
+    consuming the same input-port value (sharing one delivered copy).
+
+    Also returns the capacities the partition holds at: [Some c] when
+    every region stopped on its gain, so every capacity [>= c] (one
+    more than the largest region) grows the very same regions; [None]
+    when some region stopped because it was full, so another capacity
+    may not. *)
 
 val partition_ddg :
   Hca_ddg.Ddg.t ->

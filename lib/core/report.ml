@@ -77,6 +77,10 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
     if not memo then None
     else match cache with Some c -> Some c | None -> Some (Hierarchy.create_cache ())
   in
+  (* ... and one set-level search table, whose windows let a probe reuse
+     a search an earlier probe made at another II.  It lives for this
+     run only: its keys assume the kernel, machine and target fixed. *)
+  let windows = if memo then Some (Hierarchy.create_windows ()) else None in
   (* One II attempt with its memo counters, or [None] when the deadline
      passed before it started.  A deadline is checked between attempts,
      never inside one: the structured [timed_out] flag replaces the
@@ -92,8 +96,8 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
         let outcome =
           Result.map
             (fun res -> (res, Metrics.of_result res, Coherency.is_legal res))
-            (Hierarchy.solve ~config ~target_ii:ini_mii ?cache:hcache ~stats
-               fabric ddg ~ii)
+            (Hierarchy.solve ~config ~target_ii:ini_mii ?cache:hcache
+               ?windows ~stats fabric ddg ~ii)
         in
         Some (ii, outcome, stats)
   in

@@ -94,7 +94,9 @@ val run :
 
     [memo] (default [true]) shares one {!Hierarchy.cache} across the II
     attempts, short-circuiting subproblems that inter-level
-    backtracking would re-solve verbatim.  Every field except
+    backtracking would re-solve verbatim, and one
+    {!Hierarchy.windows} table, so an attempt reuses the set-level
+    searches an earlier one made at another II.  Every field except
     [runtime_s] is bit-identical with the memo on or off (property
     tested).
 

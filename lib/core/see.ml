@@ -3,6 +3,7 @@ type outcome = {
   alternatives : State.t list;
   explored : int;
   routed : int;
+  window : int * int;
 }
 
 (* Priority list of unassigned nodes, computed once per subproblem: the
@@ -12,7 +13,10 @@ type outcome = {
    Nodes wired to an output port jump the queue, grouped by port: a port
    accepts a single real in-arc, so its feeders must agree on a cluster
    — a constraint best surfaced while the resource tables are empty
-   (Fig. 10 shows exactly this forced co-location). *)
+   (Fig. 10 shows exactly this forced co-location).
+
+   Also returns the IIs at which the same order comes back: only the
+   Affinity regions read the II, through their capacity. *)
 let out_port_group problem id =
   List.fold_left
     (fun acc (e : Problem.edge) ->
@@ -28,17 +32,25 @@ let priority_order config problem ~ii =
   let group = out_port_group problem in
   match config.Config.priority with
   | Config.Affinity ->
-      let capacity =
-        let regs = Hca_machine.Pattern_graph.regular_nodes (Problem.pg problem) in
-        match regs with
-        | [] -> 1
-        | nd :: _ -> max 1 (Hca_machine.Resource.issue_slots nd.capacity * ii)
+      let issue =
+        match Hca_machine.Pattern_graph.regular_nodes (Problem.pg problem) with
+        | [] -> 0
+        | nd :: _ -> Hca_machine.Resource.issue_slots nd.capacity
       in
-      let region = Regions.partition problem ~capacity in
+      let region, stable_from =
+        Regions.partition problem ~capacity:(max 1 (issue * ii))
+      in
+      let window =
+        match stable_from with
+        | Some c when issue > 0 -> ((c + issue - 1) / issue, max_int)
+        | _ -> (ii, ii)
+      in
       let h = Problem.height problem in
       let key id = (region.(id), group id, -h.(id), id) in
-      (List.stable_sort (fun a b -> compare (key a) (key b)) free, Some region)
-  | Config.Source_order -> (free, None)
+      ( List.stable_sort (fun a b -> compare (key a) (key b)) free,
+        Some region,
+        window )
+  | Config.Source_order -> (free, None, (1, max_int))
   | Config.Criticality ->
       let h = Problem.height problem in
       (* Port feeders first (per port), then most critical first; ties:
@@ -47,7 +59,7 @@ let priority_order config problem ~ii =
         let nd = Problem.node problem id in
         (group id, -h.(id), -(nd.Problem.demand.alus + nd.Problem.demand.ags), id)
       in
-      (List.stable_sort (fun a b -> compare (key a) (key b)) free, None)
+      (List.stable_sort (fun a b -> compare (key a) (key b)) free, None, (1, max_int))
 
 let candidate_clusters problem =
   Hca_machine.Pattern_graph.regular_nodes (Problem.pg problem)
@@ -68,9 +80,18 @@ type cand =
 let cand_cost = function Spec { cost; _ } -> cost | Mat st -> State.cost st
 
 let solve_traced ~config ?target_ii ~backbone problem ~ii =
-  let target_ii = Option.value ~default:ii target_ii in
   let weights = config.Config.weights in
-  let order, region_of = priority_order config problem ~ii in
+  let order, region_of, (lo, hi) = priority_order config problem ~ii in
+  let root = State.create ~backbone problem in
+  State.restrict_window root ~lo ~hi;
+  (* A default target moves with the II, and so does every cost. *)
+  let target_ii =
+    match target_ii with
+    | Some t -> t
+    | None ->
+        State.restrict_window root ~lo:ii ~hi:ii;
+        ii
+  in
   (* Region-tear lookahead: how many nodes of the current node's region
      are still unplaced at each position of the priority list. *)
   let remaining_region =
@@ -96,7 +117,7 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
   let scores = Array.make (max 1 (Array.length clusters_arr)) nan in
   let explored = ref 1 and routed = ref 0 in
   let penalise ~tail_of_region st c =
-    let deficit = tail_of_region - 1 - State.free_issue_slots st ~cluster:c ~ii in
+    let deficit = State.tear_deficit st ~cluster:c ~ii ~tail_of_region in
     if deficit > 0 then
       State.add_penalty st (weights.Cost.w_tear *. float_of_int deficit)
   in
@@ -165,6 +186,7 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
                 alternatives = rest;
                 explored = !explored;
                 routed = !routed;
+                window = State.window best;
               }
         | [] -> Error (Problem.name problem ^ ": empty frontier"))
     | node :: rest ->
@@ -238,7 +260,7 @@ let solve_traced ~config ?target_ii ~backbone problem ~ii =
               (List.map (materialise ~tail_of_region node) winners)
               rest)
   in
-  loop 0 [ State.create ~backbone problem ] order
+  loop 0 [ root ] order
 
 let solve ?(config = Config.default) ?target_ii ?(backbone = []) problem ~ii =
   Hca_obs.Obs.span "see.solve"

@@ -19,6 +19,14 @@ type outcome = {
           turns out to be infeasible — inter-level backtracking. *)
   explored : int;  (** partial solutions generated (scaling metric) *)
   routed : int;  (** moves that needed the Route Allocator *)
+  window : int * int;
+      (** [(lo, hi)], holding the [ii] searched: solving again at any
+          capacity window in it gives this very outcome — bit-identical
+          states, [explored] and [routed] (property tested).  The SEE
+          reads the II only through the resource-table checks of its
+          moves and Route-Allocator hops, the region-tear deficit and
+          the Affinity regions' capacity, and each one narrows the
+          window to where it would have gone the same way. *)
 }
 
 val solve :
@@ -31,6 +39,8 @@ val solve :
 (** [ii] is the capacity window the assignment must fit; [target_ii]
     (default [ii]) is the II the objective function optimises towards —
     the driver keeps it at the kernel's iniMII even when it has to relax
-    [ii] for feasibility.  Fails when the frontier empties: no legal
+    [ii] for feasibility.  Without [target_ii] every cost moves with
+    [ii], so the outcome's window is [(ii, ii)].  Fails when the
+    frontier empties: no legal
     clusterisation exists at this II under the configured search
     effort. *)

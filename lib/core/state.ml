@@ -40,6 +40,10 @@ type t = {
   (* The arena of a Route-Allocator probe left applied between
      {!probe_force} and {!abort_force}. *)
   mutable probe : scratch option;
+  (* The search's II window [win.(0)] to [win.(1)]: the capacity
+     windows at which every II-dependent test made so far would have
+     gone the same way.  One per search root, shared by every copy. *)
+  win : int array;
 }
 
 (* The move arena: preallocated, pooled per domain and checked out for
@@ -217,6 +221,7 @@ let create ?(backbone = []) problem =
       node_fanin = Array.make n_dem 0.0;
       cache_ii = -1;
       probe = None;
+      win = [| 1; max_int |];
     }
   in
   Array.iter
@@ -232,7 +237,8 @@ let create ?(backbone = []) problem =
 (* The one record copy: every per-state array exactly as it stands —
    mid-move too, since [Copy_flow.snapshot] is legal under an open
    mark.  [regs]/[is_reg]/capacity caches/[scc] are immutable, so
-   copies share them; the move arena is pooled, so copies carry none. *)
+   copies share them; the move arena is pooled, so copies carry none;
+   the II window belongs to the search, so copies share it too. *)
 let copy t =
   {
     t with
@@ -339,11 +345,62 @@ let add_penalty t p = t.fl.(1) <- t.fl.(1) +. p
 let free_issue_slots t ~cluster ~ii =
   (t.slots_issue.(cluster) * ii) - (t.dem_alus.(cluster) + t.dem_ags.(cluster))
 
+let window t = (t.win.(0), t.win.(1))
+
+let restrict_window t ~lo ~hi =
+  if lo > t.win.(0) then t.win.(0) <- lo;
+  if hi < t.win.(1) then t.win.(1) <- hi
+
+(* The least II at which [d] slots fit [cap] slots per cycle: 0 for no
+   demand, [max_int] when no II does. *)
+let ii_needed d cap =
+  if d <= 0 then 0 else if cap <= 0 then max_int else (d + cap - 1) / cap
+
 (* Inlined [Resource.fits] on the struct-of-arrays demand. *)
-let fits t ~cluster ~d_alus ~d_ags ~ii =
+let fits_at t ~cluster ~d_alus ~d_ags ii =
   d_alus <= t.cap_alus.(cluster) * ii
   && d_ags <= t.cap_ags.(cluster) * ii
   && d_alus + d_ags <= t.slots_issue.(cluster) * ii
+
+let fits_need t ~cluster ~d_alus ~d_ags =
+  max
+    (max
+       (ii_needed d_alus t.cap_alus.(cluster))
+       (ii_needed d_ags t.cap_ags.(cluster)))
+    (ii_needed (d_alus + d_ags) t.slots_issue.(cluster))
+
+(* The test holds at [ii'] iff [ii' >= fits_need], so a pass at [ii]
+   holds down to that need and a failure up to one below it.  The
+   window's own bounds are tested by multiplication first, so the
+   divisions run only when the window narrows (or while [hi] is still
+   unbounded). *)
+let fits t ~cluster ~d_alus ~d_ags ~ii =
+  let ok = fits_at t ~cluster ~d_alus ~d_ags ii in
+  let w = t.win in
+  if ok then begin
+    if w.(0) < ii && not (fits_at t ~cluster ~d_alus ~d_ags w.(0)) then
+      w.(0) <- fits_need t ~cluster ~d_alus ~d_ags
+  end
+  else if
+    w.(1) > ii && (w.(1) = max_int || fits_at t ~cluster ~d_alus ~d_ags w.(1))
+  then begin
+    let need = fits_need t ~cluster ~d_alus ~d_ags in
+    if need < max_int && need <= w.(1) then w.(1) <- need - 1
+  end;
+  ok
+
+(* A positive deficit is a penalty that moves with the II, so the
+   window closes on [ii].  At [ii'] the deficit is [excess - issue * ii'],
+   so one at most 0 stays so from [ceil (excess / issue)] up. *)
+let tear_deficit t ~cluster ~ii ~tail_of_region =
+  let deficit = tail_of_region - 1 - free_issue_slots t ~cluster ~ii in
+  let issue = t.slots_issue.(cluster) in
+  let excess = deficit + (issue * ii) in
+  let w = t.win in
+  if deficit > 0 then restrict_window t ~lo:ii ~hi:ii
+  else if w.(0) < ii && excess > issue * w.(0) then
+    w.(0) <- ii_needed excess issue;
+  deficit
 
 (* Route-Allocator hop feasibility: would [via] still fit its resource
    table after spending one ALU slot re-emitting a value?  The BFS asks
@@ -508,9 +565,7 @@ let score_moves t ~node ~clusters ~ii ~target_ii ~weights ~tail_of_region
           (* The region-tear lookahead the SEE applies to each surviving
              move, with the exact float-op order of
              [add_penalty]-then-[cost]. *)
-          let deficit =
-            tail_of_region - 1 - free_issue_slots t ~cluster ~ii
-          in
+          let deficit = tear_deficit t ~cluster ~ii ~tail_of_region in
           let extra =
             if deficit > 0 then
               base_extra +. (weights.Cost.w_tear *. float_of_int deficit)

@@ -147,6 +147,31 @@ val add_penalty : t -> float -> unit
 val free_issue_slots : t -> cluster:Pattern_graph.node_id -> ii:int -> int
 (** Remaining issue capacity of a cluster under the window [ii]. *)
 
+val tear_deficit :
+  t -> cluster:Pattern_graph.node_id -> ii:int -> tail_of_region:int -> int
+(** [tail_of_region - 1 - free_issue_slots t ~cluster ~ii]: the SEE's
+    region-tear lookahead, penalised when positive.  The one place both
+    {!score_moves} and the SEE's materialised moves compute it, so it
+    also narrows the II window (a positive deficit closes it on [ii]). *)
+
+(** {1 II windows}
+
+    Every state created by {!create} starts a search-wide window
+    [(lo, hi)] = [(1, max_int)] that its copies share.  Each
+    II-dependent test the move path makes under a capacity window [ii]
+    — the resource-table check of every move and of every Route
+    Allocator hop, and {!tear_deficit} — narrows it to the IIs at which
+    the test would have gone the same way, so a search that reads the
+    II only through these tests (and {!restrict_window}) makes the same
+    moves at every II of the final window. *)
+
+val window : t -> int * int
+(** The window of the search [t] belongs to, as it stands. *)
+
+val restrict_window : t -> lo:int -> hi:int -> unit
+(** Narrows the search's window to its intersection with [[lo, hi]]:
+    the hook for II-dependent decisions taken outside the move path. *)
+
 val equal : t -> t -> bool
 (** Structural identity of two partial solutions: same placement, same
     routed flow, same forwards, same carried cuts and bit-equal cost

@@ -13,8 +13,9 @@ let magic = "HCA-MEMO-STORE"
    every entry used to carry beside its committed state.
    v6: [Config.priority] lost its [Topological] constructor, and the
    stamp beside the version became a digest of the sources instead of
-   the working directory's git state. *)
-let format_version = "v6"
+   the working directory's git state.
+   v7: [State.t] gained the search-wide II window its copies share. *)
+let format_version = "v7"
 
 (* Memo entries embed solver-internal structures, so any code change
    can silently change their meaning: the stamp ties a file to the

@@ -20,10 +20,12 @@
 #   dse_sweep       the Domain_pool workload   (hca dse sweep runtime budget)
 #   serve_cold      hca serve arms the flight  (flight-ring overhead budget)
 #                   ring by default
+#   serve_warm      hca serve on a restored store: memo hits, store
+#                   load as set-up, and the misses' II climbs
 #   oracle_certify  hca exact verdicts: the only CDCL workload, timed
 #                   only by hand before
 #
-# One pair of the four workloads takes about a minute and a quarter on
+# One pair of the five workloads takes about a minute and a half on
 # a 2-vCPU machine.  The worktree lives under $TMPDIR and is removed at exit;
 # the dune cache is off so the builds write nothing outside the trees.
 set -euo pipefail
@@ -31,7 +33,7 @@ set -euo pipefail
 PAIRS=5
 SECONDS_PER_RUN=5
 FIRST_SEED=1
-WORKLOADS="compile_suite dse_sweep serve_cold oracle_certify"
+WORKLOADS="compile_suite dse_sweep serve_cold serve_warm oracle_certify"
 
 if [ $# -ne 1 ]; then
   echo "usage: $0 <base-ref>" >&2

@@ -102,7 +102,13 @@ let two_feeders_outcome fabric16 =
   let st = assign st p0 0 in
   let st = assign st p1 4 in
   let st = assign st c 8 in
-  { Hca_core.See.state = st; alternatives = []; explored = 0; routed = 0 }
+  {
+    Hca_core.See.state = st;
+    alternatives = [];
+    explored = 0;
+    routed = 0;
+    window = Hca_core.State.window st;
+  }
 
 let test_hierarchy_violations_counted () =
   let fabric16 = Dspfabric.make ~fanouts:[| 4; 2; 2 |] ~n:1 ~m:1 ~k:1 () in

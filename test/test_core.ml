@@ -396,7 +396,7 @@ let test_see_priority_modes () =
 
 let test_regions_cover_free_nodes () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(Hca_kernels.Idcthor.ddg ()) ~pg:(complete4 ~cap:(r 16 16) ~max_in:8 ()) () in
-  let region = Regions.partition p ~capacity:32 in
+  let region, _ = Regions.partition p ~capacity:32 in
   Array.iter
     (fun (nd : Problem.node) ->
       if nd.Problem.pinned = None then
@@ -406,7 +406,7 @@ let test_regions_cover_free_nodes () =
 let test_regions_capacity () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(Hca_kernels.H264deblock.ddg ()) ~pg:(complete4 ~cap:(r 16 16) ~max_in:8 ()) () in
   let capacity = 20 in
-  let region = Regions.partition p ~capacity in
+  let region, _ = Regions.partition p ~capacity in
   let counts = Hashtbl.create 16 in
   Array.iter
     (fun r ->
@@ -430,7 +430,7 @@ let test_regions_separate_columns () =
   let a1, c1 = mk () in
   let ddg = Ddg.Builder.freeze b in
   let p = Problem.of_ddg ~name:"p" ~ddg ~pg:(complete4 ()) () in
-  let region = Regions.partition p ~capacity:8 in
+  let region, _ = Regions.partition p ~capacity:8 in
   Alcotest.(check int) "chain 0 together" region.(a0) region.(c0);
   Alcotest.(check int) "chain 1 together" region.(a1) region.(c1);
   Alcotest.(check bool) "chains apart" true (region.(a0) <> region.(a1))
@@ -438,9 +438,23 @@ let test_regions_separate_columns () =
 (* The gain-counter growth must return the reference twin's regions
    exactly: the region arrays order the SEE and colour the Mapper's
    wires, so any drift (a flipped tie-break, a stale gain) changes
-   placements. *)
+   placements.  The capacities it reports the partition holding at must
+   hold too: from the reported one up when every region stopped on its
+   gain, else some region is full. *)
 let partition_matches_ref p ~capacity =
-  Regions.partition p ~capacity = Regions_ref.partition p ~capacity
+  let region, stable_from = Regions.partition p ~capacity in
+  region = Regions_ref.partition p ~capacity
+  &&
+  match stable_from with
+  | Some c ->
+      c <= capacity
+      && List.for_all
+           (fun capacity -> fst (Regions.partition p ~capacity) = region)
+           [ c; capacity + 7 ]
+  | None ->
+      let size = Array.make (Array.length region) 0 in
+      Array.iter (fun r -> if r >= 0 then size.(r) <- size.(r) + 1) region;
+      Array.mem capacity size
 
 (* Child problems of a solved hierarchy carry in- and out-ports, so the
    port affinities get exercised too. *)

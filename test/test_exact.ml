@@ -174,6 +174,33 @@ let test_oracle_strict_no_better () =
   | Some r, Some s -> Alcotest.(check bool) "strict >= relaxed" true (s >= r)
   | _ -> Alcotest.fail "both searches should conclude on 4 nodes"
 
+(* Generated instances whose verdict the symmetry breaking settles
+   under [oracle_certify]'s conflict budget (each was [feasible] with
+   the plain encoding), seeded with the heuristic incumbent the way
+   that workload and [hca exact] seed it.  The workload's own smoke
+   inputs were optimal either way, so only this case sees a verdict
+   change. *)
+let test_oracle_certify_verdicts () =
+  List.iter
+    (fun seed ->
+      let inst = Hca_gen.Gen.instance ~seed () in
+      let r = Hca_core.Report.run ~jobs:1 inst.fabric inst.ddg in
+      let incumbent = if r.legal then r.final_mii else None in
+      let o =
+        Oracle.run ~budget_s:infinity ~max_conflicts:8000 ?incumbent
+          inst.fabric inst.ddg
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "instance %d" seed)
+        "optimal lb=4 mii=4"
+        (Printf.sprintf "%s lb=%d mii=%s"
+           (Oracle.status_to_string o.Oracle.status)
+           o.Oracle.lower_bound
+           (match o.Oracle.final_mii with
+           | Some m -> string_of_int m
+           | None -> "-")))
+    [ 3; 7; 30; 33 ]
+
 let test_encode_model_checks () =
   let problem = Hca_core.Problem.flat small_fabric (chain4 ()) in
   let inst = Encode.of_problem problem in
@@ -565,6 +592,8 @@ let () =
         [
           Alcotest.test_case "chain optimum" `Quick test_oracle_chain_optimal;
           Alcotest.test_case "strict no better" `Quick test_oracle_strict_no_better;
+          Alcotest.test_case "oracle_certify verdicts" `Quick
+            test_oracle_certify_verdicts;
           Alcotest.test_case "model checks" `Quick test_encode_model_checks;
         ] );
       ( "crosscheck",

@@ -7,8 +7,10 @@
    [State] must rewind its input and agree bit for bit with the
    from-scratch recompute and a blocked-arc reference; and the
    parallel portfolio driver must reproduce its sequential run field
-   for field.  One more property guards the SEE itself: its
-   final beam never holds two equal states. *)
+   for field, and [Report.run] its [jobs = 1] memo-on run on long II
+   climbs.  Two more properties guard the SEE itself: its final beam
+   never holds two equal states, and its outcome is the same at every
+   II of the window it reports. *)
 
 open Hca_machine
 open Hca_core
@@ -417,6 +419,94 @@ let prop_beam_distinct =
       && beams_distinct (Hca_gen.Gen.fabric ~seed ())
       && !pairs > 0)
 
+(* Every SEE outcome names the IIs at which it comes back unchanged:
+   solving again at the low end of its window, at most 8 above it and
+   at a random II in between must give the very same states (every
+   cache included), explored and routed counts.  Each subproblem the
+   hierarchy solves is searched at a random II around the one the run
+   used, so tight IIs — failed resource checks, positive tear deficits,
+   full Affinity regions — come up as well as loose ones.  [stats]
+   counts (windows checked, windows wider than one II). *)
+let same_outcome (a : See.outcome) (b : See.outcome) =
+  State.debug_identical a.See.state b.See.state
+  && List.length a.See.alternatives = List.length b.See.alternatives
+  && List.for_all2 State.debug_identical a.See.alternatives b.See.alternatives
+  && a.See.explored = b.See.explored
+  && a.See.routed = b.See.routed
+
+let outcomes_hold_over_windows ?(stats = (ref 0, ref 0)) ~seed fabric ddg =
+  let rng = Hca_util.Prng.create seed in
+  let report = Report.run fabric ddg in
+  (* Odd seeds search without the Affinity regions, whose full regions
+     close many windows before a failed resource check can. *)
+  let config =
+    if seed mod 2 = 0 then Config.default
+    else { Config.default with Config.priority = Config.Criticality }
+  in
+  match report.Report.result with
+  | None -> true
+  | Some res ->
+      List.for_all
+        (fun (sub : Hierarchy.subresult) ->
+          let solve ii =
+            See.solve ~config ~target_ii:report.Report.ini_mii
+              sub.Hierarchy.problem ~ii
+          in
+          let ii =
+            max 1 ((report.Report.ii_used * 3 / 4) + Hca_util.Prng.int rng 6)
+          in
+          match solve ii with
+          | Error _ -> true
+          | Ok o ->
+              let lo, hi = o.See.window in
+              let top = min hi (lo + 8) in
+              incr (fst stats);
+              if hi > lo then incr (snd stats);
+              lo <= ii && ii <= hi
+              && List.for_all
+                   (fun ii' ->
+                     match solve ii' with
+                     | Ok o' -> same_outcome o o'
+                     | Error _ -> false)
+                   [ lo; top; lo + Hca_util.Prng.int rng (top - lo + 1) ])
+        (Hierarchy.subresults res)
+
+(* Kernels past the default 24 instructions, on the reference fabric
+   and on heterogeneous machines: smaller ones rarely fill a cluster
+   enough for a tear deficit.  Two seeds in 100,001 draw a machine with
+   no address generator at all, which [Report.run] rejects by raising;
+   those are skipped. *)
+let windows_hold ?stats seed =
+  let ddg =
+    Hca_gen.Gen.ddg
+      ~knobs:{ Hca_gen.Gen.default_ddg_knobs with min_size = 20; max_size = 60 }
+      ~seed ()
+  in
+  let hetero = Hca_gen.Gen.desc ~hetero:0.3 ~seed () in
+  outcomes_hold_over_windows ?stats ~seed Dspfabric.reference ddg
+  && ((Dspfabric.resources hetero).Hca_ddg.Mii.ag_slots = 0
+     || outcomes_hold_over_windows ?stats ~seed hetero ddg)
+
+let prop_outcome_window =
+  QCheck.Test.make ~name:"SEE outcome is the same at every II of its window"
+    ~count:80
+    QCheck.(int_range 0 100_000)
+    windows_hold
+
+(* The property above is vacuous if every window is a single II, and
+   misses the narrowings if none is. *)
+let test_windows_not_vacuous () =
+  let (checked, wide) as stats = (ref 0, ref 0) in
+  for seed = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "seed %d holds" seed)
+      true (windows_hold ~stats seed)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d windows wider than one II" !wide !checked)
+    true
+    (!wide > 0 && !wide < !checked)
+
 (* ------------------------------------------------------------------ *)
 (* Parallel drivers reproduce their sequential runs                    *)
 (* ------------------------------------------------------------------ *)
@@ -499,6 +589,46 @@ let test_memo_invariant () =
         = (0, 0, 0)))
     Hca_kernels.Registry.all
 
+(* The reference fabric has no illegal rows, so the two tests above
+   never meet a long climb.  Two [dse_sweep] points do: r20 holds five
+   illegal evaluations that climb 37-49 IIs each, and r21 sad16's
+   39-probe climb.  Every result, error text included, and the memo
+   counters must not depend on [jobs]; memo off must give the same
+   result and count nothing. *)
+let test_dse_climbs_invariant () =
+  let points =
+    List.filter
+      (fun (p : Hca_gen.Dse.point) -> List.mem p.Hca_gen.Dse.pname [ "r20"; "r21" ])
+      (Hca_gen.Dse.random_points ~hetero:0.3 ~count:5 ~seed:19 ())
+  in
+  Alcotest.(check int) "points" 2 (List.length points);
+  let counters (r : Report.t) =
+    (r.Report.cache_hits, r.Report.cache_misses, r.Report.reused_subproblems)
+  in
+  List.iter
+    (fun (p : Hca_gen.Dse.point) ->
+      List.iter
+        (fun kernel ->
+          let ddg = (Option.get (Hca_kernels.Registry.find kernel)) () in
+          let run ~jobs ~memo = Report.run ~jobs ~memo p.Hca_gen.Dse.desc ddg in
+          let base = run ~jobs:1 ~memo:true in
+          let label what = Printf.sprintf "%s/%s: %s" p.Hca_gen.Dse.pname kernel what in
+          List.iter
+            (fun (what, r) ->
+              Alcotest.(check string) (label what) (Report.invariant_string base)
+                (Report.invariant_string r);
+              Alcotest.(check (triple int int int))
+                (label (what ^ " memo counters"))
+                (if r.Report.memo_enabled then counters base else (0, 0, 0))
+                (counters r))
+            [
+              ("jobs=2", run ~jobs:2 ~memo:true);
+              ("memo off", run ~jobs:1 ~memo:false);
+              ("jobs=2 memo off", run ~jobs:2 ~memo:false);
+            ])
+        [ "fir2dim"; "idcthor"; "mpeg2inter"; "fft_stage"; "sad16"; "rgb2ycc" ])
+    points
+
 let () =
   Alcotest.run "parallel"
     [
@@ -521,12 +651,20 @@ let () =
           Alcotest.test_case "fixed seeds: some probes block" `Quick
             test_probes_block;
         ] );
-      ("see", [ QCheck_alcotest.to_alcotest prop_beam_distinct ]);
+      ( "see",
+        [
+          QCheck_alcotest.to_alcotest prop_beam_distinct;
+          QCheck_alcotest.to_alcotest prop_outcome_window;
+          Alcotest.test_case "fixed seeds: some windows are wide" `Quick
+            test_windows_not_vacuous;
+        ] );
       ( "drivers",
         [
           Alcotest.test_case "report jobs invariant" `Quick
             test_report_jobs_invariant;
           Alcotest.test_case "memo on/off invariant" `Slow test_memo_invariant;
+          Alcotest.test_case "dse climbs: jobs and memo invariant" `Slow
+            test_dse_climbs_invariant;
           Alcotest.test_case "portfolio jobs invariant" `Slow
             test_portfolio_jobs_invariant;
         ] );
