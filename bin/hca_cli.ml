@@ -527,24 +527,23 @@ let explain_cmd =
           report.Report.ii_used;
         List.iter
           (fun (sub : Hierarchy.subresult) ->
-            let flow = State.flow sub.Hierarchy.state in
-            let pg = Problem.pg sub.Hierarchy.problem in
-            let regs = Hca_machine.Pattern_graph.regular_nodes pg in
+            let pg = sub.Hierarchy.pg in
             let loads =
               List.map
                 (fun (nd : Hca_machine.Pattern_graph.node) ->
-                  List.length
-                    (State.cluster_nodes sub.Hierarchy.state nd.id))
-                regs
+                  Array.fold_left
+                    (fun n c -> if c = nd.id then n + 1 else n)
+                    0 sub.Hierarchy.place)
+                (Hca_machine.Pattern_graph.regular_nodes pg)
             in
             Format.printf
               "  [%s] ws=%s copies=%d in-ports=%d out-ports=%d wire<=%d@."
               (String.concat "," (List.map string_of_int sub.Hierarchy.path))
               (String.concat "/" (List.map string_of_int loads))
-              (Hca_machine.Copy_flow.copy_count flow)
+              (Hca_machine.Copy_flow.Frozen.copy_count sub.Hierarchy.flow)
               (List.length (Hca_machine.Pattern_graph.in_ports pg))
               (List.length (Hca_machine.Pattern_graph.out_ports pg))
-              sub.Hierarchy.mapres.Mapper.max_wire_load)
+              sub.Hierarchy.max_wire_load)
           (Hierarchy.subresults res);
         Format.printf "%a legal=%b@." Metrics.pp (Metrics.of_result res)
           report.Report.legal;

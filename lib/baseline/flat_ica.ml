@@ -54,8 +54,8 @@ let run ?(config = Config.default) fabric ddg =
       }
 
 let hierarchy_violations fabric outcome =
-  let flow = State.flow outcome.See.state in
+  let flow = Copy_flow.freeze (State.flow outcome.See.state) in
   Flat_score.mux_overflows fabric (fun arc ->
       for src = 0 to Dspfabric.total_cns fabric - 1 do
-        List.iter (arc src) (Copy_flow.real_out_neighbors flow src)
+        List.iter (arc src) (Copy_flow.Frozen.real_out_neighbors flow src)
       done)

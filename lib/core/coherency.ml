@@ -7,8 +7,8 @@ let prefix l n = List.filteri (fun i _ -> i < n) l
    PG hop [src -> dst]?  Regular hops need a wire with the right owner,
    sink and payload; port hops need the matching pre-allocation. *)
 let wire_confirms (sub : Hierarchy.subresult) ~src ~dst ~value =
-  let pg = Problem.pg sub.Hierarchy.problem in
-  let model = sub.Hierarchy.mapres.Mapper.model in
+  let pg = sub.Hierarchy.pg in
+  let model = sub.Hierarchy.model in
   let port_label id =
     match (Pattern_graph.node pg id).Pattern_graph.kind with
     | Pattern_graph.In_port { wire; _ } | Pattern_graph.Out_port { wire; _ } ->
@@ -42,9 +42,8 @@ let wire_confirms (sub : Hierarchy.subresult) ~src ~dst ~value =
 (* Breadth-first reachability over the flow arcs that carry [value] and
    are confirmed by the wires. *)
 let value_reaches (sub : Hierarchy.subresult) ~value ~start ~goal =
-  let flow = State.flow sub.Hierarchy.state in
-  let pg = Copy_flow.pg flow in
-  let n = Pattern_graph.size pg in
+  let flow = sub.Hierarchy.flow in
+  let n = Pattern_graph.size sub.Hierarchy.pg in
   let seen = Array.make n false in
   let q = Queue.create () in
   List.iter
@@ -61,7 +60,7 @@ let value_reaches (sub : Hierarchy.subresult) ~value ~start ~goal =
       (fun y ->
         if
           (not seen.(y))
-          && List.mem value (Copy_flow.copies flow ~src:x ~dst:y)
+          && List.mem value (Copy_flow.Frozen.copies flow ~src:x ~dst:y)
           && wire_confirms sub ~src:x ~dst:y ~value
         then
           if goal y then found := true
@@ -69,7 +68,7 @@ let value_reaches (sub : Hierarchy.subresult) ~value ~start ~goal =
             seen.(y) <- true;
             Queue.push y q
           end)
-      (Copy_flow.real_out_neighbors flow x)
+      (Copy_flow.Frozen.real_out_neighbors flow x)
   done;
   !found
 
@@ -113,7 +112,7 @@ let check_edge t (e : Ddg.edge) =
       match sub_at path with
       | None -> ()
       | Some sub ->
-          let pg = Problem.pg sub.Hierarchy.problem in
+          let pg = sub.Hierarchy.pg in
           let outs =
             Pattern_graph.out_ports pg
             |> List.filter_map (fun (nd : Pattern_graph.node) ->
@@ -146,7 +145,7 @@ let check_edge t (e : Ddg.edge) =
       match sub_at path with
       | None -> ()
       | Some sub ->
-          let pg = Problem.pg sub.Hierarchy.problem in
+          let pg = sub.Hierarchy.pg in
           let ins = in_ports_holding pg value in
           if ins = [] then fail path "value enters on no input port"
           else if
@@ -161,7 +160,7 @@ let check_edge t (e : Ddg.edge) =
 let check_models t =
   List.concat_map
     (fun (sub : Hierarchy.subresult) ->
-      match Machine_model.validate sub.Hierarchy.mapres.Mapper.model with
+      match Machine_model.validate sub.Hierarchy.model with
       | Ok () -> []
       | Error m ->
           [
@@ -174,19 +173,19 @@ let check_models t =
 let check_out_ports t =
   List.concat_map
     (fun (sub : Hierarchy.subresult) ->
-      let pg = Problem.pg sub.Hierarchy.problem in
-      let flow = State.flow sub.Hierarchy.state in
+      let pg = sub.Hierarchy.pg in
+      let flow = sub.Hierarchy.flow in
       List.concat_map
         (fun (nd : Pattern_graph.node) ->
           let values = Pattern_graph.port_values nd in
           if values = [] then []
           else
-            match Copy_flow.real_in_neighbors flow nd.id with
+            match Copy_flow.Frozen.real_in_neighbors flow nd.id with
             | [ src ] ->
                 List.filter_map
                   (fun v ->
                     if
-                      List.mem v (Copy_flow.copies flow ~src ~dst:nd.id)
+                      List.mem v (Copy_flow.Frozen.copies flow ~src ~dst:nd.id)
                       && wire_confirms sub ~src ~dst:nd.id ~value:v
                     then None
                     else

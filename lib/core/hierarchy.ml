@@ -3,11 +3,15 @@ open Hca_machine
 
 type subresult = {
   path : int list;
-  problem : Problem.t;
-  state : State.t;
-      (* the committed solution: the SEE's best state, or one of its
-         beam alternatives when inter-level backtracking stepped in *)
-  mapres : Mapper.result;
+  pg : Pattern_graph.t;
+  global : Instr.id array;
+  value : Instr.id array;
+  pin : Pattern_graph.node_id array;
+  place : Pattern_graph.node_id array;
+  detours : (Instr.id * Pattern_graph.node_id) list;
+  flow : Copy_flow.Frozen.t;
+  model : Machine_model.t;
+  max_wire_load : int;
   children : subresult option array;
 }
 
@@ -56,7 +60,7 @@ type key = {
   k_machine : string;
   k_level : int;
   k_path : int list;
-  k_ws : int list;
+  k_ws : int array;  (* ascending *)
   k_ili : Ili.t;
   k_ii : int;
   k_target_ii : int;
@@ -117,9 +121,14 @@ let cache_store cache key entry =
   if not (Hashtbl.mem tbl key) then Hashtbl.replace tbl key entry;
   Mutex.unlock m
 
+(* A snapshot's keys are distinct, so each goes straight in, into
+   tables sized for them. *)
 let restore (s : snapshot) : cache =
-  let cache = create_cache () in
-  Array.iter (fun (k, e) -> cache_store cache k e) s;
+  let cache =
+    Array.init stripes (fun _ ->
+        (Mutex.create (), Hashtbl.create (2 * Array.length s / stripes)))
+  in
+  Array.iter (fun (k, e) -> Hashtbl.add (snd (stripe_of cache k)) k e) s;
   cache
 
 (* {1 Reuse across II probes}
@@ -196,6 +205,28 @@ let rec count_subresults sub =
     (fun acc c -> match c with None -> acc | Some s -> acc + count_subresults s)
     1 sub.children
 
+(* The committed record of a subproblem: what the readers after the
+   search use of its problem, its committed state and its lowering, and
+   nothing of the search machinery.  [children] are the very values
+   [solve_sub] returned, so a parent shares each child with the child's
+   own memo entry. *)
+let record ~path problem st (mapres : Mapper.result) children =
+  let field f = Array.map f (Problem.nodes problem) in
+  let id_or_none = Option.value ~default:(-1) in
+  {
+    path;
+    pg = Problem.pg problem;
+    global = field (fun nd -> id_or_none nd.Problem.global);
+    value = field (fun nd -> nd.Problem.value);
+    pin = field (fun nd -> id_or_none nd.Problem.pinned);
+    place = field (fun nd -> id_or_none (State.placement st nd.Problem.id));
+    detours = State.forwards st;
+    flow = mapres.Mapper.flow;
+    model = mapres.Mapper.model;
+    max_wire_load = mapres.Mapper.max_wire_load;
+    children;
+  }
+
 let path_name path =
   match path with
   | [] -> "0"
@@ -207,6 +238,10 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
     ~args:[ ("kernel", Ddg.name ddg); ("ii", string_of_int ii) ]
   @@ fun () ->
   let target_ii = Option.value ~default:ii target_ii in
+  (* Total identity: the cache may outlive this run and meet fabrics
+     [Dspfabric.name] cannot tell apart (same N/M/K, different fan-outs
+     or port counts).  One string serves every key of the run. *)
+  let machine = Dspfabric.id fabric in
   let explored = ref 0 and routed = ref 0 in
   let rec solve_sub ~level ~path ~ws ~ili =
     match cache with
@@ -216,13 +251,10 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
           {
             k_kernel = Ddg.name ddg;
             k_content = Ddg.content_id ddg;
-            (* Total identity: the cache may outlive this run and meet
-               fabrics [Dspfabric.name] cannot tell apart (same N/M/K,
-               different fan-outs or port counts). *)
-            k_machine = Dspfabric.id fabric;
+            k_machine = machine;
             k_level = level;
             k_path = path;
-            k_ws = ws;
+            k_ws = Array.of_list ws;
             k_ili = ili;
             k_ii = ii;
             k_target_ii = target_ii;
@@ -412,8 +444,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
              ~in_capacity ~out_capacity:view.Dspfabric.out_capacity ())
       in
       let children = Array.make view.Dspfabric.children None in
-      if view.Dspfabric.is_leaf then
-        Ok { path; problem; state = st; mapres; children }
+      if view.Dspfabric.is_leaf then Ok (record ~path problem st mapres children)
       else begin
         let ws_of_child = Array.make view.Dspfabric.children [] in
         Array.iter
@@ -438,7 +469,7 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
               spawn (i + 1)
         in
         let* () = spawn 0 in
-        Ok { path; problem; state = st; mapres; children }
+        Ok (record ~path problem st mapres children)
       end
     in
     (* Inter-level backtracking: when the best partial solution's
@@ -466,21 +497,20 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
   let rec harvest sub =
     if List.length sub.path = depth - 1 then begin
       let cn_of j = Machine_desc.cn_of_path fabric (sub.path @ [ j ]) in
-      Array.iter
-        (fun (nd : Problem.node) ->
-          match (nd.Problem.pinned, State.placement sub.state nd.Problem.id) with
-          | Some _, _ -> ()
-          | None, None -> assert false (* the SEE returned a complete state *)
-          | None, Some cn -> (
-              let abs = cn_of cn in
-              match nd.Problem.global with
-              | Some g -> cn_of_instr.(g) <- abs
-              | None -> forwards := (nd.Problem.value, abs) :: !forwards))
-        (Problem.nodes sub.problem);
+      Array.iteri
+        (fun i pin ->
+          if pin < 0 then begin
+            (* the SEE returned a complete state *)
+            assert (sub.place.(i) >= 0);
+            let abs = cn_of sub.place.(i) in
+            if sub.global.(i) >= 0 then cn_of_instr.(sub.global.(i)) <- abs
+            else forwards := (sub.value.(i), abs) :: !forwards
+          end)
+        sub.pin;
       List.iter
         (fun (value, via) ->
           forwards := (value, cn_of via) :: !forwards)
-        (State.forwards sub.state)
+        sub.detours
     end
     else
       Array.iter
@@ -542,4 +572,4 @@ let recv_count t cn =
   | local :: rev_leaf_path -> (
       match leaf_of_path t (List.rev rev_leaf_path) with
       | None -> 0
-      | Some leaf -> Copy_flow.in_pressure (State.flow leaf.state) local)
+      | Some leaf -> Copy_flow.Frozen.in_pressure leaf.flow local)

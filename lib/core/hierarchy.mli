@@ -13,19 +13,36 @@ open Hca_machine
 
 type subresult = {
   path : int list;  (** nesting indexes, [[]] for the root problem *)
-  problem : Problem.t;
-  state : State.t;
-      (** the committed solution — the SEE's best state, or one of its
-          beam alternatives when a child subproblem of the best state
-          proved infeasible and the driver backtracked.  The rest of the
-          beam is not kept: it is only needed while this subproblem is
-          being committed. *)
-  mapres : Mapper.result;
+  pg : Pattern_graph.t;  (** the level's PG with this subproblem's ports *)
+  global : Instr.id array;
+      (** per problem node: its instruction, [-1] for ports and
+          pass-through forwards *)
+  value : Instr.id array;
+      (** per problem node: the value it stands for ({!Problem.node}) *)
+  pin : Pattern_graph.node_id array;
+      (** per problem node: the port it is pinned to, [-1] when the SEE
+          placed it *)
+  place : Pattern_graph.node_id array;
+      (** per problem node: its PG node in the committed solution — the
+          SEE's best state, or one of its beam alternatives when a child
+          subproblem of the best state proved infeasible and the driver
+          backtracked *)
+  detours : (Instr.id * Pattern_graph.node_id) list;
+      (** the committed state's Route-Allocator forwards, newest first *)
+  flow : Copy_flow.Frozen.t;  (** its copy flow, as the Mapper lowered it *)
+  model : Machine_model.t;  (** the Mapper's wires *)
+  max_wire_load : int;
   children : subresult option array;
       (** one slot per PG regular node; [None] when nothing was assigned
           to — or flows through — that cluster set (always all-[None] at
           the leaf) *)
 }
+(** The committed record of one subproblem: exactly what the readers
+    after the search use (harvest, {!recv_count}, [Metrics],
+    [Coherency], [Topology], [hca explain]).  The problem's edges, the
+    SEE's state with its cost caches and the rest of its beam are not
+    kept; {!Problem.of_working_set} on the [global] ids, [pg] and the
+    level's [max_in_ports] rebuilds the problem. *)
 
 type t = {
   fabric : Dspfabric.t;

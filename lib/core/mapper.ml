@@ -1,6 +1,7 @@
 open Hca_machine
 
 type result = {
+  flow : Copy_flow.Frozen.t;
   model : Machine_model.t;
   child_ilis : Ili.t array;
   max_wire_load : int;
@@ -36,7 +37,7 @@ let preallocate model problem flow =
               (fun m -> Printf.sprintf "external-in w%d -> child %d: %s" label dst m)
               (Machine_model.reserve_external_in model ~dst ~label))
           (Ok ())
-          (Copy_flow.real_out_neighbors flow nd.id))
+          (Copy_flow.Frozen.real_out_neighbors flow nd.id))
       (Ok ())
       (Pattern_graph.in_ports pg)
   in
@@ -45,7 +46,7 @@ let preallocate model problem flow =
       let* () = acc in
       let label = port_wire nd in
       let values = Pattern_graph.port_values nd in
-      match Copy_flow.real_in_neighbors flow nd.id with
+      match Copy_flow.Frozen.real_in_neighbors flow nd.id with
       | [] ->
           if values = [] then Ok ()
           else Error (Printf.sprintf "output wire w%d has values but no source" label)
@@ -83,7 +84,7 @@ let budget_of flow ~children =
           remaining.(dst) <- remaining.(dst) + 1;
           unwired := (src, dst) :: !unwired
         end)
-      (Copy_flow.real_out_neighbors flow src)
+      (Copy_flow.Frozen.real_out_neighbors flow src)
   done;
   { remaining; unwired = !unwired }
 
@@ -249,8 +250,8 @@ let collect_value_dests flow ~src ~children =
             | Some _ -> ());
             let cur = Option.value ~default:[] (Hashtbl.find_opt per_value v) in
             if not (List.mem dst cur) then Hashtbl.replace per_value v (dst :: cur))
-          (Copy_flow.copies flow ~src ~dst))
-    (Copy_flow.real_out_neighbors flow src);
+          (Copy_flow.Frozen.copies flow ~src ~dst))
+    (Copy_flow.Frozen.real_out_neighbors flow src);
   List.rev_map (fun v -> (v, List.rev (Hashtbl.find per_value v))) !order
   |> List.sort (fun (v1, d1) (v2, d2) ->
          compare (-List.length d1, v1) (-List.length d2, v2))
@@ -289,7 +290,7 @@ let map_traced ~consolidate ~wire_cap ~color ~problem ~state ~in_capacity
   if wire_cap < 1 then invalid_arg "Mapper.map: wire_cap must be >= 1";
   let pg = Problem.pg problem in
   let children = List.length (Pattern_graph.regular_nodes pg) in
-  let flow = State.flow state in
+  let flow = Copy_flow.freeze (State.flow state) in
   let model = Machine_model.create ~nodes:children ~in_capacity ~out_capacity in
   let* () = preallocate model problem flow in
   let budget = budget_of flow ~children in
@@ -306,7 +307,13 @@ let map_traced ~consolidate ~wire_cap ~color ~problem ~state ~in_capacity
   in
   let* () = Machine_model.validate model in
   let child_ilis = build_child_ilis model problem children in
-  Ok { model; child_ilis; max_wire_load = Machine_model.max_wire_load model }
+  Ok
+    {
+      flow;
+      model;
+      child_ilis;
+      max_wire_load = Machine_model.max_wire_load model;
+    }
 
 let map ?(consolidate = false) ?(wire_cap = max_int)
     ?(color = fun (_ : Hca_ddg.Instr.id) -> 0) ~problem ~state ~in_capacity

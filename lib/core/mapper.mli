@@ -13,6 +13,7 @@
 open Hca_machine
 
 type result = {
+  flow : Copy_flow.Frozen.t;  (** the copy flow this lowering read *)
   model : Machine_model.t;
   child_ilis : Ili.t array;  (** indexed by regular PG node id *)
   max_wire_load : int;

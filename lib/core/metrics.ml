@@ -27,13 +27,13 @@ let of_result (r : Hierarchy.t) =
   let max_wire_load =
     List.fold_left
       (fun acc (s : Hierarchy.subresult) ->
-        max acc s.Hierarchy.mapres.Mapper.max_wire_load)
+        max acc s.Hierarchy.max_wire_load)
       0 subs
   in
   let copies =
     List.fold_left
       (fun acc (s : Hierarchy.subresult) ->
-        acc + Copy_flow.copy_count (State.flow s.Hierarchy.state))
+        acc + Copy_flow.Frozen.copy_count s.Hierarchy.flow)
       0 subs
   in
   let wire_mii = max 1 max_wire_load in

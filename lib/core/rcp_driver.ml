@@ -31,9 +31,10 @@ let solve ?(config = Config.default) rcp ddg =
       | Ok outcome ->
           explored := !explored + outcome.See.explored;
           let state = outcome.See.state in
-          let flow = State.flow state in
           let topology =
-            List.map (fun (src, dst, _) -> (src, dst)) (Copy_flow.arcs flow)
+            List.map
+              (fun (src, dst, _) -> (src, dst))
+              (Copy_flow.Frozen.arcs (Copy_flow.freeze (State.flow state)))
           in
           let summary = State.summary state ~ii in
           Ok
@@ -80,7 +81,7 @@ let validate t =
   (* Every inter-cluster dependence rides a configured link (possibly
      through Route-Allocator detours, i.e. a path of links carrying the
      value). *)
-  let flow = State.flow t.state in
+  let flow = Copy_flow.freeze (State.flow t.state) in
   Ddg.iter_edges
     (fun (e : Ddg.edge) ->
       match (State.placement t.state e.src, State.placement t.state e.dst) with
@@ -97,14 +98,14 @@ let validate t =
               (fun y ->
                 if
                   (not !found) && y < n && (not seen.(y))
-                  && List.mem e.src (Copy_flow.copies flow ~src:x ~dst:y)
+                  && List.mem e.src (Copy_flow.Frozen.copies flow ~src:x ~dst:y)
                 then
                   if y = b then found := true
                   else begin
                     seen.(y) <- true;
                     Queue.push y q
                   end)
-              (Copy_flow.real_out_neighbors flow x)
+              (Copy_flow.Frozen.real_out_neighbors flow x)
           done;
           if not !found then
             fail "dependence %%%d->%%%d has no configured path (%d->%d)" e.src

@@ -66,7 +66,8 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
   let t0 = Hca_util.Clock.now () in
   let meter = Alloc_meter.start () in
   let mii_rec = Mii.rec_mii ddg in
-  let mii_res = Mii.res_mii ddg (Dspfabric.resources fabric) in
+  let resources = Dspfabric.resources fabric in
+  let mii_res = Mii.res_mii ddg resources in
   let ini_mii = max mii_rec mii_res in
   let deadline = Option.map (fun d -> t0 +. d) deadline_s in
   (* One subproblem memo per run — II probes of the same kernel share
@@ -190,7 +191,11 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
       ~timed_out:(List.exists Option.is_none window)
       (Ok best)
   in
-  climb ini_mii [] None
+  (* A kernel needing a resource class the machine lacks fits no II:
+     it is reported without a probe. *)
+  match Mii.unmappable ddg resources with
+  | Some reason -> finish [] ~timed_out:false (Error (Some reason))
+  | None -> climb ini_mii [] None
 
 let header = [ "Loop"; "N_Instr"; "MIIRec"; "MIIRes"; "Legal"; "Final MII" ]
 

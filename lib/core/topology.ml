@@ -20,7 +20,7 @@ let of_result (res : Hierarchy.t) =
   let entries =
     List.concat_map
       (fun (sub : Hierarchy.subresult) ->
-        let model = sub.Hierarchy.mapres.Mapper.model in
+        let model = sub.Hierarchy.model in
         List.concat_map
           (fun owner ->
             let uplinks = Machine_model.external_outs model owner in

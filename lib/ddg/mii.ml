@@ -70,25 +70,33 @@ type resources = {
 
 let ceil_div a b = (a + b - 1) / b
 
-let res_mii g r =
-  if r.alu_slots <= 0 || r.ag_slots <= 0 || r.issue_slots <= 0
-     || r.dma_ports <= 0
-  then invalid_arg "Mii.res_mii: non-positive resource capacity";
-  let alu_ops =
-    Ddg.count g (fun i -> Opcode.unit_class i.Instr.opcode = Opcode.Alu)
-  in
-  let ag_ops =
-    Ddg.count g (fun i -> Opcode.unit_class i.Instr.opcode = Opcode.Ag)
-  in
-  let mem_ops = Ddg.memory_ops g in
-  let bound = [
-    ceil_div alu_ops r.alu_slots;
-    ceil_div ag_ops r.ag_slots;
-    ceil_div (Ddg.size g) r.issue_slots;
-    ceil_div mem_ops r.dma_ports;
+(* Per resource class: its name, the kernel's uses per iteration and
+   the machine's slots per cycle. *)
+let classes g r =
+  let count cls = Ddg.count g (fun i -> Opcode.unit_class i.Instr.opcode = cls) in
+  [
+    ("ALU", count Opcode.Alu, r.alu_slots);
+    ("AG", count Opcode.Ag, r.ag_slots);
+    ("issue", Ddg.size g, r.issue_slots);
+    ("DMA", Ddg.memory_ops g, r.dma_ports);
   ]
-  in
-  List.fold_left max 1 bound
+
+let res_mii g r =
+  List.fold_left
+    (fun acc (_, uses, slots) ->
+      if slots > 0 then max acc (ceil_div uses slots) else acc)
+    1 (classes g r)
+
+let unmappable g r =
+  List.find_map
+    (fun (name, uses, slots) ->
+      if uses > 0 && slots <= 0 then
+        Some
+          (Printf.sprintf "unmappable: the machine has no %s slot for the \
+                           kernel's %d %s op%s"
+             name uses name (if uses = 1 then "" else "s"))
+      else None)
+    (classes g r)
 
 let mii g r = max (rec_mii g) (res_mii g r)
 

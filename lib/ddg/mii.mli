@@ -25,7 +25,15 @@ type resources = {
 
 val res_mii : Ddg.t -> resources -> int
 (** Resource-constrained bound: for each resource, uses per iteration
-    divided by per-cycle capacity, rounded up; the bound is the max. *)
+    divided by per-cycle capacity, rounded up; the bound is the max.
+    A class the machine has no slot of bounds nothing here: when the
+    kernel has no op of that class it is irrelevant, and when it has
+    one no II fits, which {!unmappable} reports. *)
+
+val unmappable : Ddg.t -> resources -> string option
+(** [Some reason] when the kernel uses a resource class the machine
+    has no slot of — the reason names the class and the op count —
+    so no II maps it. *)
 
 val mii : Ddg.t -> resources -> int
 (** [max (rec_mii g) (res_mii g r)]. *)

@@ -135,27 +135,6 @@ let arc_id t ~src ~dst =
     Array.unsafe_get t.arc_of ((src * t.n) + dst)
   else -1
 
-let copies t ~src ~dst =
-  match arc_id t ~src ~dst with -1 -> [] | a -> List.rev t.values.(a)
-
-let real_in_neighbors t id =
-  let arcs = t.in_arcs.(id) in
-  let acc = ref [] in
-  for i = Array.length arcs - 1 downto 0 do
-    let a = arcs.(i) in
-    if t.values.(a) <> [] then acc := t.arc_src.(a) :: !acc
-  done;
-  !acc
-
-let real_out_neighbors t id =
-  let arcs = t.out_arcs.(id) in
-  let acc = ref [] in
-  for i = Array.length arcs - 1 downto 0 do
-    let a = arcs.(i) in
-    if t.values.(a) <> [] then acc := t.arc_dst.(a) :: !acc
-  done;
-  !acc
-
 let used_in_ports_count t = t.used_ports
 
 let real_in_count t id = t.in_deg.(id)
@@ -228,23 +207,6 @@ let add_copy t ~src ~dst value =
     if t.marks > 0 then trail_push t a
   end
 
-let remove_copy t ~src ~dst value =
-  if t.marks <> 0 then invalid_arg "Copy_flow.remove_copy: speculation in flight";
-  let a = arc_id t ~src ~dst in
-  if a < 0 || not (List.mem value t.values.(a)) then
-    invalid_arg "Copy_flow.remove_copy: value not routed on this arc";
-  t.values.(a) <- List.filter (fun v -> v <> value) t.values.(a);
-  t.total <- t.total - 1;
-  t.in_pres.(dst) <- t.in_pres.(dst) - 1;
-  if t.values.(a) = [] then begin
-    t.in_deg.(dst) <- t.in_deg.(dst) - 1;
-    t.out_deg.(src) <- t.out_deg.(src) - 1;
-    if is_in_port t src && t.out_deg.(src) = 0 then
-      t.used_ports <- t.used_ports - 1;
-    if Bytes.unsafe_get t.reserved a = '\000' then
-      t.committed_in.(dst) <- t.committed_in.(dst) - 1
-  end
-
 let push_mark t =
   t.marks <- t.marks + 1;
   t.trail_len
@@ -293,14 +255,6 @@ let equal a b =
    with Exit -> ());
   !ok
 
-let arcs t =
-  let acc = ref [] in
-  for a = Array.length t.values - 1 downto 0 do
-    if t.values.(a) <> [] then
-      acc := (t.arc_src.(a), t.arc_dst.(a), List.rev t.values.(a)) :: !acc
-  done;
-  !acc
-
 let copy_count t = t.total
 
 let in_pressure t id = t.in_pres.(id)
@@ -313,12 +267,99 @@ let out_pressure t id =
     t.out_arcs.(id);
   S.cardinal !distinct
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>copy flow on %s:" (Pattern_graph.name t.pg);
-  List.iter
-    (fun (src, dst, vs) ->
-      Format.fprintf ppf "@,  %d -> %d : [%s]" src dst
-        (String.concat "," (List.map string_of_int vs)))
-    (arcs t);
-  Format.fprintf ppf "@]"
+(* The frozen view: the real arcs alone, in ascending [(src, dst)]
+   order, with their values in insertion order packed into one array
+   (arc [a] holds [vals.(first.(a))] to [vals.(first.(a + 1) - 1)]).
+   Nothing else of the flow is kept: in-pressures and the total are
+   sums over the arcs. *)
+module Frozen = struct
+  type t = {
+    src : int array;
+    dst : int array;
+    first : int array;  (* one slot more than arcs *)
+    vals : Instr.id array;
+  }
 
+  let of_arcs arcs =
+    let arr f = Array.of_list (List.map f arcs) in
+    let first = Array.make (List.length arcs + 1) 0 in
+    List.iteri (fun a (_, _, vs) -> first.(a + 1) <- first.(a) + List.length vs) arcs;
+    {
+      src = arr (fun (s, _, _) -> s);
+      dst = arr (fun (_, d, _) -> d);
+      first;
+      vals = Array.of_list (List.concat_map (fun (_, _, vs) -> vs) arcs);
+    }
+
+  let arc_values f a =
+    let acc = ref [] in
+    for i = f.first.(a + 1) - 1 downto f.first.(a) do
+      acc := f.vals.(i) :: !acc
+    done;
+    !acc
+
+  let copies f ~src ~dst =
+    let rec find a =
+      if a >= Array.length f.src || f.src.(a) > src then []
+      else if f.src.(a) = src && f.dst.(a) = dst then arc_values f a
+      else find (a + 1)
+    in
+    find 0
+
+  (* Both scans walk the arcs in [(src, dst)] order, so neighbours come
+     out ascending. *)
+  let neighbors ~by ~other id =
+    let acc = ref [] in
+    for a = Array.length by - 1 downto 0 do
+      if by.(a) = id then acc := other.(a) :: !acc
+    done;
+    !acc
+
+  let real_out_neighbors f id = neighbors ~by:f.src ~other:f.dst id
+
+  let real_in_neighbors f id = neighbors ~by:f.dst ~other:f.src id
+
+  let arcs f =
+    List.init (Array.length f.src) (fun a -> (f.src.(a), f.dst.(a), arc_values f a))
+
+  let copy_count f = Array.length f.vals
+
+  let in_pressure f id =
+    let n = ref 0 in
+    Array.iteri
+      (fun a d -> if d = id then n := !n + f.first.(a + 1) - f.first.(a))
+      f.dst;
+    !n
+
+  let remove_copy f ~src ~dst value =
+    if not (List.mem value (copies f ~src ~dst)) then
+      invalid_arg "Copy_flow.Frozen.remove_copy: value not routed on this arc";
+    of_arcs
+      (List.filter_map
+         (fun (s, d, vs) ->
+           let vs = if s = src && d = dst then List.filter (( <> ) value) vs else vs in
+           if vs = [] then None else Some (s, d, vs))
+         (arcs f))
+end
+
+(* Compact arc ids ascend with [(src, dst)], so one pass over them
+   yields the frozen order. *)
+let freeze t =
+  let real = ref 0 in
+  Array.iter (fun vs -> if vs <> [] then incr real) t.values;
+  let src = Array.make !real 0 and dst = Array.make !real 0 in
+  let first = Array.make (!real + 1) 0 and vals = Array.make t.total 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun a vs ->
+      if vs <> [] then begin
+        let len = List.length vs in
+        src.(!k) <- t.arc_src.(a);
+        dst.(!k) <- t.arc_dst.(a);
+        first.(!k + 1) <- first.(!k) + len;
+        (* [vs] is newest first *)
+        List.iteri (fun i v -> vals.(first.(!k + 1) - 1 - i) <- v) vs;
+        incr k
+      end)
+    t.values;
+  { Frozen.src; dst; first; vals }

@@ -80,15 +80,6 @@ val add_copy :
 (** Routes one value.  Idempotent per [(src, dst, value)].
     @raise Invalid_argument when [can_add] is false. *)
 
-val remove_copy :
-  t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> Instr.id -> unit
-(** Fault injection for the coherency negative tests: un-routes one
-    value, keeping every aggregate counter consistent (the flow remains
-    structurally valid — only the communication it promises changes).
-    Never used by the search itself.
-    @raise Invalid_argument when the value is not routed on the arc or
-    a speculation mark is outstanding. *)
-
 (** {1 Speculation trail}
 
     The SEE probes candidate moves by mutating one scratch flow in
@@ -118,17 +109,10 @@ val equal : t -> t -> bool
     value matrix, so they are not compared beyond the cheap O(1)
     prefilters. *)
 
-(** {1 Queries} *)
+(** {1 Counters}
 
-val copies : t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> Instr.id list
-(** Values on the arc, in insertion order. *)
-
-val real_in_neighbors : t -> Pattern_graph.node_id -> Pattern_graph.node_id list
-
-val real_out_neighbors : t -> Pattern_graph.node_id -> Pattern_graph.node_id list
-
-val arcs : t -> (Pattern_graph.node_id * Pattern_graph.node_id * Instr.id list) list
-(** All real arcs with their value lists, ordered by [(src, dst)]. *)
+    The O(1) reads the search's cost function makes per move; the list
+    queries live on the {!Frozen} view. *)
 
 val copy_count : t -> int
 (** Total value-hops routed. *)
@@ -139,7 +123,7 @@ val used_in_ports_count : t -> int
     function's per-move queries never re-walk the copy matrix. *)
 
 val real_in_count : t -> Pattern_graph.node_id -> int
-(** [List.length (real_in_neighbors t id)] in O(1). *)
+(** Distinct real in-neighbours of a node, in O(1). *)
 
 val in_pressure : t -> Pattern_graph.node_id -> int
 (** Values entering a node: each needs a receive slot. *)
@@ -148,4 +132,44 @@ val out_pressure : t -> Pattern_graph.node_id -> int
 (** Distinct values leaving a node (a broadcast counts once, the paper's
     Mapper merges broadcast copies onto one wire). *)
 
-val pp : Format.formatter -> t -> unit
+(** {1 Frozen view}
+
+    What the readers after the search need of a committed flow: the
+    real arcs with their values, and nothing of the search machinery
+    (potential-arc tables, counters, trail).  The Mapper freezes the
+    flow it lowers, and the hierarchy keeps that view in its committed
+    record; the flat baselines read one too. *)
+
+module Frozen : sig
+  type t
+
+  val copies : t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> Instr.id list
+  (** Values on the arc, in insertion order ([[]] when the arc carries
+      none). *)
+
+  val real_in_neighbors : t -> Pattern_graph.node_id -> Pattern_graph.node_id list
+  (** Ascending. *)
+
+  val real_out_neighbors : t -> Pattern_graph.node_id -> Pattern_graph.node_id list
+  (** Ascending. *)
+
+  val arcs : t -> (Pattern_graph.node_id * Pattern_graph.node_id * Instr.id list) list
+  (** All real arcs with their value lists, ordered by [(src, dst)]. *)
+
+  val copy_count : t -> int
+  (** Total value-hops, as {!Copy_flow.copy_count} of the frozen flow. *)
+
+  val in_pressure : t -> Pattern_graph.node_id -> int
+  (** Values entering a node, as {!Copy_flow.in_pressure} of the
+      frozen flow. *)
+
+  val remove_copy :
+    t -> src:Pattern_graph.node_id -> dst:Pattern_graph.node_id -> Instr.id -> t
+  (** Fault injection for the coherency negative tests: the view with
+      one value un-routed from one arc (an arc left empty disappears).
+      @raise Invalid_argument when the value is not on the arc. *)
+end
+
+val freeze : t -> Frozen.t
+(** The flow's real arcs as they stand; later mutations of [t] do not
+    show through. *)

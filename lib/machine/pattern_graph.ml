@@ -16,9 +16,15 @@ type node = {
 type t = {
   name : string;
   nodes : node array;
-  potential : bool array array;
+  potential : Bytes.t;  (* [src * size + dst] is ['\001'] for a potential arc *)
   max_in : int;
 }
+
+let matrix n f =
+  Bytes.init (n * n) (fun k -> if f (k / n) (k mod n) then '\001' else '\000')
+
+let potential_at t ~src ~dst =
+  Bytes.get t.potential ((src * Array.length t.nodes) + dst) <> '\000'
 
 let check_capacities capacities =
   if Array.length capacities = 0 then
@@ -31,10 +37,7 @@ let complete ~name ~capacities ~max_in =
   let nodes =
     Array.mapi (fun id capacity -> { id; kind = Regular; capacity }) capacities
   in
-  let potential =
-    Array.init n (fun i -> Array.init n (fun j -> i <> j))
-  in
-  { name; nodes; potential; max_in }
+  { name; nodes; potential = matrix n (fun i j -> i <> j); max_in }
 
 let of_adjacency ~name ~capacities ~max_in ~potential =
   check_capacities capacities;
@@ -44,14 +47,12 @@ let of_adjacency ~name ~capacities ~max_in ~potential =
   let nodes =
     Array.mapi (fun id capacity -> { id; kind = Regular; capacity }) capacities
   in
-  let adj = Array.init n (fun _ -> Array.make n false) in
   List.iter
     (fun (src, dst) ->
       if src < 0 || src >= n || dst < 0 || dst >= n || src = dst then
-        invalid_arg "Pattern_graph.of_adjacency: bad potential arc";
-      adj.(src).(dst) <- true)
+        invalid_arg "Pattern_graph.of_adjacency: bad potential arc")
     potential;
-  { name; nodes; potential = adj; max_in }
+  { name; nodes; potential = matrix n (fun i j -> List.mem (i, j) potential); max_in }
 
 let has_ports t =
   Array.exists (fun nd -> nd.kind <> Regular) t.nodes
@@ -76,24 +77,14 @@ let with_ports t ~inputs ~outputs =
       nodes.(id) <-
         { id; kind = Out_port { wire; values }; capacity = Resource.zero })
     outputs;
-  let potential = Array.init n (fun _ -> Array.make n false) in
-  for i = 0 to n_reg - 1 do
-    for j = 0 to n_reg - 1 do
-      potential.(i).(j) <- t.potential.(i).(j)
-    done
-  done;
   (* Input ports broadcast to every regular node; every regular node can
      reach every output port. *)
-  for p = n_reg to n_reg + n_in - 1 do
-    for j = 0 to n_reg - 1 do
-      potential.(p).(j) <- true
-    done
-  done;
-  for p = n_reg + n_in to n - 1 do
-    for i = 0 to n_reg - 1 do
-      potential.(i).(p) <- true
-    done
-  done;
+  let potential =
+    matrix n (fun i j ->
+        if i < n_reg && j < n_reg then potential_at t ~src:i ~dst:j
+        else if i < n_reg then j >= n_reg + n_in
+        else i < n_reg + n_in && j < n_reg)
+  in
   { t with nodes; potential }
 
 let name t = t.name
@@ -120,19 +111,20 @@ let out_ports t =
 let max_in t = t.max_in
 
 let is_potential t ~src ~dst =
-  src >= 0 && src < size t && dst >= 0 && dst < size t && t.potential.(src).(dst)
+  src >= 0 && src < size t && dst >= 0 && dst < size t
+  && potential_at t ~src ~dst
 
 let potential_preds t id =
   let acc = ref [] in
   for src = size t - 1 downto 0 do
-    if t.potential.(src).(id) then acc := src :: !acc
+    if potential_at t ~src ~dst:id then acc := src :: !acc
   done;
   !acc
 
 let potential_succs t id =
   let acc = ref [] in
   for dst = size t - 1 downto 0 do
-    if t.potential.(id).(dst) then acc := dst :: !acc
+    if potential_at t ~src:id ~dst then acc := dst :: !acc
   done;
   !acc
 

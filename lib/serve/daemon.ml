@@ -32,6 +32,7 @@ type t = {
   store_path : string option;
   stamp : string;
   loaded : int;
+  rejected : int;  (* store files refused at startup: 0 or 1 *)
   started_s : float;
   tel : telemetry;
   mutable stopping : bool;
@@ -151,23 +152,29 @@ let create ?pool ?on_finish ?store_path ?stamp
   in
   if telemetry.flight then
     Obs.Ring.arm ~capacity:telemetry.flight_capacity ();
-  let cache, loaded =
+  (* Whatever the store file holds, the daemon starts: a file it cannot
+     use is reported and counted, and the cache starts cold. *)
+  let cache, loaded, rejected =
     match store_path with
-    | None -> (Hierarchy.create_cache (), 0)
+    | None -> (Hierarchy.create_cache (), 0, 0)
     | Some path -> (
+        let reject why =
+          Printf.eprintf "hca serve: ignoring memo store %s: %s\n%!" path why;
+          Log.warn "store.reject" [ ("path", Log.S path); ("error", Log.S why) ];
+          (Hierarchy.create_cache (), 0, 1)
+        in
         match Store.load ~path ~stamp with
         | Ok (Some snap) ->
             let n = Hierarchy.snapshot_length snap in
             Log.info "store.load" [ ("path", Log.S path); ("entries", Log.I n) ];
-            (Hierarchy.restore snap, n)
+            (Hierarchy.restore snap, n, 0)
+        | Ok None when Sys.file_exists path ->
+            reject "written by another build (stale stamp)"
         | Ok None ->
             Log.info "store.load"
               [ ("path", Log.S path); ("entries", Log.I 0) ];
-            (Hierarchy.create_cache (), 0)
-        | Error e ->
-            Printf.eprintf "hca serve: ignoring memo store: %s\n%!" e;
-            Log.warn "store.error" [ ("error", Log.S e) ];
-            (Hierarchy.create_cache (), 0))
+            (Hierarchy.create_cache (), 0, 0)
+        | Error e -> reject e)
   in
   (* The observer needs the daemon (gauges read the queue); tie the
      knot through a cell — no event can fire before [create] returns. *)
@@ -180,6 +187,7 @@ let create ?pool ?on_finish ?store_path ?stamp
       store_path;
       stamp;
       loaded;
+      rejected;
       started_s = Hca_util.Clock.now ();
       tel = telemetry;
       stopping = false;
@@ -370,6 +378,7 @@ let stats_line t =
       ("cache_misses", num tot.Jobq.cache_misses);
       ("cache_entries", num (cache_entries t));
       ("loaded_entries", num t.loaded);
+      ("store_rejected", num t.rejected);
       ("stamp", Json.Str t.stamp);
       ("latency_p50_ms", quant 0.5);
       ("latency_p95_ms", quant 0.95);

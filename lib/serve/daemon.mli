@@ -71,8 +71,10 @@ val create :
   unit ->
   t
 (** Loads the memo store when [store_path] exists with a matching
-    [stamp] (default {!Store.default_stamp}); a stale or missing store
-    starts cold, a corrupt one warns on stderr and starts cold.  No
+    [stamp] (default {!Store.default_stamp}).  A missing store starts
+    cold; a stale or corrupt one warns on stderr, counts in the [stats]
+    field [store_rejected] and starts cold.  Never raises on the
+    file's contents.  No
     [pool] means jobs run only when the caller pumps ({!Jobq.wait} /
     {!Jobq.pump} via {!jobq}) — the deterministic test mode.  When
     [telemetry.flight] is set, the flight ring is armed here. *)

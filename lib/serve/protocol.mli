@@ -63,6 +63,8 @@
     cache_entries   int    subproblem entries in the store right now
     loaded_entries  int    entries inherited from the store file at
                            startup (0 on a cold start)
+    store_rejected  int    1 when the store file was there but stale
+                           or corrupt, so the daemon started cold
     stamp           string the store-compatibility stamp: a digest
                            of the lib/ sources taken at build time
     latency_p50_ms  float  per-request latency quantiles, estimated
@@ -72,7 +74,7 @@
     flight_dumps    int    flight-recorder dumps written so far
     v}
 
-    The first thirteen fields are the PR-6 snapshot counters from
+    The first fourteen fields are the snapshot counters from
     {!Jobq.totals} and the store; the last five are derived from the
     {!Hca_obs.Obs.Registry} and are also available, with full label
     detail, through the [metrics] verb.

@@ -2,16 +2,19 @@
     {!Hca_core.Hierarchy} serialised to disk, so warm caches survive
     daemon restarts.
 
-    Format: a text header — magic line, then the invalidation stamp on
-    its own line — followed by the [Marshal]led
-    {!Hca_core.Hierarchy.snapshot}.  The stamp ({!default_stamp}) ties
-    the file to the exact sources and store format that wrote it: memo
-    entries embed solver-internal structures whose meaning drifts with
-    any code change, so a stale stamp means the whole file is discarded
-    ([Ok None]), never read.
+    Format: four text lines — the magic, the invalidation stamp, the
+    payload's length in bytes and its MD5 in hex — followed by the
+    payload, the [Marshal]led {!Hca_core.Hierarchy.snapshot}.  The
+    stamp ({!default_stamp}) ties the file to the exact sources and
+    store format that wrote it: memo entries embed solver-internal
+    structures whose meaning drifts with any code change, so a stale
+    stamp means the whole file is discarded ([Ok None]), never read.
+    The length and the digest are checked before the payload is
+    unmarshalled, so a truncated or bit-flipped file is an [Error],
+    never a crash.
 
-    Writes are atomic (temp file + [rename]), so a crash mid-flush
-    leaves the previous store intact. *)
+    Writes are atomic (temp file, [fsync], [rename]), so a crash
+    mid-flush leaves the previous store intact. *)
 
 val format_version : string
 (** Part of the stamp, so a layout change is spelled out beside the
@@ -37,5 +40,6 @@ val load :
   stamp:string ->
   (Hca_core.Hierarchy.snapshot option, string) result
 (** [Ok None] when the file does not exist or carries a different
-    stamp (stale — silently start cold); [Error] on a file that exists
-    but cannot be a store (bad magic, truncated payload). *)
+    stamp (stale); [Error] on a file that exists but cannot be a store
+    (bad magic, a length or digest that does not match the payload, a
+    payload that does not unmarshal).  Never raises. *)

@@ -138,7 +138,7 @@ let prop_problem_walks_subresults =
       | None -> true
       | Some res ->
           List.for_all
-            (fun (sub : Hierarchy.subresult) -> agrees_with_ref sub.problem)
+            (fun sub -> agrees_with_ref (Record_problem.of_subresult res sub))
             (Hierarchy.subresults res))
 
 let test_problem_walks_extended_roots () =
@@ -185,7 +185,7 @@ let test_state_cross_cluster_copy () =
   let st = Result.get_ok (State.try_assign st ~node:0 ~cluster:0 ~ii:4 ~target_ii:4 ~weights) in
   let st = Result.get_ok (State.try_assign st ~node:1 ~cluster:1 ~ii:4 ~target_ii:4 ~weights) in
   Alcotest.(check (list int)) "value 0 on arc" [ 0 ]
-    (Copy_flow.copies (State.flow st) ~src:0 ~dst:1)
+    (Copy_flow.Frozen.copies (Copy_flow.freeze (State.flow st)) ~src:0 ~dst:1)
 
 let test_state_resource_rejection () =
   let _, st = mk_state () in
@@ -275,10 +275,11 @@ let test_router_detour () =
   match Router.assign_with_routing st ~node:1 ~cluster:2 ~ii:4 ~target_ii:4 ~weights ~max_hops:3 with
   | Error e -> Alcotest.fail e
   | Ok st' ->
+      let flow = Copy_flow.freeze (State.flow st') in
       Alcotest.(check (list int)) "hop 0->1" [ 0 ]
-        (Copy_flow.copies (State.flow st') ~src:0 ~dst:1);
+        (Copy_flow.Frozen.copies flow ~src:0 ~dst:1);
       Alcotest.(check (list int)) "hop 1->2" [ 0 ]
-        (Copy_flow.copies (State.flow st') ~src:1 ~dst:2);
+        (Copy_flow.Frozen.copies flow ~src:1 ~dst:2);
       Alcotest.(check (list (pair int int))) "forward recorded" [ (0, 1) ]
         (State.forwards st')
 
@@ -345,12 +346,12 @@ let test_see_pinned_ports_preassigned () =
   | Error e -> Alcotest.fail e
   | Ok o ->
       (* The out port must be fed with value 3 by d's cluster. *)
-      let flow = State.flow o.See.state in
+      let flow = Copy_flow.freeze (State.flow o.See.state) in
       let port = (List.hd (Pattern_graph.out_ports pg)).Pattern_graph.id in
-      (match Copy_flow.real_in_neighbors flow port with
+      (match Copy_flow.Frozen.real_in_neighbors flow port with
       | [ src ] ->
           Alcotest.(check (list int)) "value delivered" [ 3 ]
-            (Copy_flow.copies flow ~src ~dst:port)
+            (Copy_flow.Frozen.copies flow ~src ~dst:port)
       | _ -> Alcotest.fail "out port must have one feeder")
 
 let test_see_forced_colocation_fig10 () =
@@ -465,14 +466,15 @@ let prop_partition_matches_ref =
       let ddg = Hca_gen.Gen.ddg ~seed () in
       let r = Report.run Dspfabric.reference ddg in
       QCheck.assume (r.Report.result <> None);
+      let res = Option.get r.Report.result in
       List.for_all
-        (fun (sub : Hierarchy.subresult) ->
-          let p = sub.Hierarchy.problem in
+        (fun sub ->
+          let p = Record_problem.of_subresult res sub in
           let n = Problem.size p in
           List.for_all
             (fun capacity -> partition_matches_ref p ~capacity)
             [ 1; 2; 7; n; n + 1 ])
-        (Hierarchy.subresults (Option.get r.Report.result)))
+        (Hierarchy.subresults res))
 
 let prop_partition_ddg_matches_ref =
   QCheck.Test.make ~name:"Regions.partition_ddg = reference on member subsets"
@@ -555,14 +557,13 @@ let test_mapper_ili_payloads () =
         Array.to_list res.Mapper.child_ilis
         |> List.concat_map (fun ili -> Ili.input_values ili)
       in
-      let flow = State.flow o.See.state in
       List.iter
         (fun (_, _, values) ->
           List.iter
             (fun v ->
               Alcotest.(check bool) "value delivered" true (List.mem v all_in))
             values)
-        (Copy_flow.arcs flow)
+        (Copy_flow.Frozen.arcs res.Mapper.flow)
 
 let test_mapper_wire_cap () =
   (* Three values from cluster 0 to cluster 1 with wire_cap 1: three
@@ -701,47 +702,75 @@ let solve_spread () =
       Alcotest.(check bool) "initially legal" true (Coherency.is_legal res);
       res
 
-let root_subresult res =
-  List.find
-    (fun (s : Hierarchy.subresult) -> s.Hierarchy.path = [])
-    (Hierarchy.subresults res)
+(* [res] with the record at [path] replaced by [f] of it.  Records are
+   immutable, so the tree is rebuilt along the path; the original (and
+   any memo entry sharing its subtrees) stays as it was, which each
+   test checks after its mutation. *)
+let with_sub res path f =
+  let rec go (sub : Hierarchy.subresult) = function
+    | [] -> f sub
+    | i :: rest ->
+        let children = Array.copy sub.Hierarchy.children in
+        children.(i) <- Option.map (fun c -> go c rest) children.(i);
+        { sub with Hierarchy.children }
+  in
+  { res with Hierarchy.root = go res.Hierarchy.root path }
 
-let expect_rejection res label substrings =
-  match Coherency.check res with
+(* A clone of a record's wire model, mutated by [f]. *)
+let with_model res path f =
+  with_sub res path (fun sub ->
+      let model = Machine_model.clone sub.Hierarchy.model in
+      f model;
+      { sub with Hierarchy.model })
+
+let expect_rejection ~original res label substrings =
+  (match Coherency.check res with
   | Ok () -> Alcotest.failf "%s: mutation accepted" label
   | Error msgs ->
       let all = String.concat " | " msgs in
       Alcotest.(check bool)
         (label ^ ": diagnostic names the violation")
         true
-        (List.exists (contains all) substrings)
+        (List.exists (contains all) substrings));
+  Alcotest.(check bool) (label ^ ": original untouched") true
+    (Coherency.is_legal original)
 
 let test_coherency_rejects_dropped_copy () =
   let res = solve_spread () in
-  let flow = State.flow (root_subresult res).Hierarchy.state in
-  (match List.find_opt (fun (_, _, vs) -> vs <> []) (Copy_flow.arcs flow) with
-  | Some (src, dst, v :: _) -> Copy_flow.remove_copy flow ~src ~dst v
-  | _ -> Alcotest.fail "no copy to drop at the root");
-  expect_rejection res "dropped copy" [ "no path between the two cluster sets" ]
+  let mutated =
+    with_sub res [] (fun sub ->
+        match Copy_flow.Frozen.arcs sub.Hierarchy.flow with
+        | (src, dst, v :: _) :: _ ->
+            {
+              sub with
+              Hierarchy.flow =
+                Copy_flow.Frozen.remove_copy sub.Hierarchy.flow ~src ~dst v;
+            }
+        | _ -> Alcotest.fail "no copy to drop at the root")
+  in
+  expect_rejection ~original:res mutated "dropped copy"
+    [ "no path between the two cluster sets" ]
 
 let test_coherency_rejects_dropped_wire_value () =
   let res = solve_spread () in
-  let model = (root_subresult res).Hierarchy.mapres.Mapper.model in
-  let exception Done in
-  (try
-     for nd = 0 to Machine_model.nodes model - 1 do
-       List.iter
-         (fun w ->
-           match Machine_model.wire_values model w with
-           | v :: _ ->
-               Machine_model.remove_value model ~wire:w v;
-               raise Done
-           | [] -> ())
-         (Machine_model.used_out_wires model nd)
-     done;
-     Alcotest.fail "no wire value to drop at the root"
-   with Done -> ());
-  expect_rejection res "dropped wire value"
+  let mutated =
+    with_model res [] (fun model ->
+        let exception Done in
+        try
+          for nd = 0 to Machine_model.nodes model - 1 do
+            List.iter
+              (fun w ->
+                match Machine_model.wire_values model w with
+                | v :: _ ->
+                    Machine_model.remove_value model ~wire:w v;
+                    raise Done
+                | [] -> ())
+              (Machine_model.used_out_wires model nd)
+          done;
+          Alcotest.fail "no wire value to drop at the root"
+        with Done -> ())
+  in
+  expect_rejection ~original:res mutated "dropped wire value"
     [ "no path between the two cluster sets" ]
 
 let test_coherency_rejects_overfilled_mux () =
@@ -752,55 +781,62 @@ let test_coherency_rejects_overfilled_mux () =
   | Error e -> Alcotest.fail e
   | Ok res ->
       Alcotest.(check bool) "initially legal" true (Coherency.is_legal res);
-      let model = (root_subresult res).Hierarchy.mapres.Mapper.model in
-      let nodes = Machine_model.nodes model
-      and cap = Machine_model.in_capacity model
-      and out_cap = Machine_model.out_capacity model in
-      let dst = nodes - 1 in
-      let added = ref 0 in
-      for w = 0 to (nodes * out_cap) - 1 do
-        if
-          !added <= cap && w / out_cap <> dst
-          && not (List.mem dst (Machine_model.wire_sinks model w))
-        then begin
-          Machine_model.inject_sink model ~wire:w ~dst;
-          incr added
-        end
-      done;
-      Alcotest.(check bool) "injected past capacity" true (!added > cap);
-      expect_rejection res "overfilled mux" [ "exceed capacity" ]
+      let added = ref 0 and cap = ref 0 in
+      let mutated =
+        with_model res [] (fun model ->
+            let nodes = Machine_model.nodes model
+            and out_cap = Machine_model.out_capacity model in
+            cap := Machine_model.in_capacity model;
+            let dst = nodes - 1 in
+            for w = 0 to (nodes * out_cap) - 1 do
+              if
+                !added <= !cap && w / out_cap <> dst
+                && not (List.mem dst (Machine_model.wire_sinks model w))
+              then begin
+                Machine_model.inject_sink model ~wire:w ~dst;
+                incr added
+              end
+            done)
+      in
+      Alcotest.(check bool) "injected past capacity" true (!added > !cap);
+      expect_rejection ~original:res mutated "overfilled mux"
+        [ "exceed capacity" ]
 
 let test_coherency_rejects_dropped_external_in () =
   let res = solve_spread () in
-  let rec find = function
-    | [] -> Alcotest.fail "no external input reservation to drop"
-    | (sub : Hierarchy.subresult) :: rest ->
-        let model = sub.Hierarchy.mapres.Mapper.model in
-        let rec node nd =
-          if nd >= Machine_model.nodes model then find rest
-          else
-            match Machine_model.external_ins model nd with
-            | label :: _ -> Machine_model.drop_external_in model ~dst:nd ~label
-            | [] -> node (nd + 1)
-        in
-        node 0
+  let reservation (sub : Hierarchy.subresult) =
+    let model = sub.Hierarchy.model in
+    List.find_map
+      (fun nd ->
+        match Machine_model.external_ins model nd with
+        | label :: _ -> Some (sub.Hierarchy.path, nd, label)
+        | [] -> None)
+      (List.init (Machine_model.nodes model) Fun.id)
   in
-  find (Hierarchy.subresults res);
-  expect_rejection res "dropped external input"
-    [
-      "value does not reach the consumer's cluster set";
-      "value enters on no input port";
-    ]
+  match List.find_map reservation (Hierarchy.subresults res) with
+  | None -> Alcotest.fail "no external input reservation to drop"
+  | Some (path, dst, label) ->
+      let mutated =
+        with_model res path (fun model ->
+            Machine_model.drop_external_in model ~dst ~label)
+      in
+      expect_rejection ~original:res mutated "dropped external input"
+        [
+          "value does not reach the consumer's cluster set";
+          "value enters on no input port";
+        ]
 
 let test_coherency_rejects_cross_wired_clusters () =
   let res = solve_spread () in
   (* Swap two instructions across the level-0 boundary: every routed
      copy now serves the wrong producer. *)
-  let a = res.Hierarchy.cn_of_instr.(1) and b = res.Hierarchy.cn_of_instr.(2) in
+  let cn_of_instr = Array.copy res.Hierarchy.cn_of_instr in
+  let a = cn_of_instr.(1) and b = cn_of_instr.(2) in
   Alcotest.(check bool) "placed on distinct CNs" true (a <> b);
-  res.Hierarchy.cn_of_instr.(1) <- b;
-  res.Hierarchy.cn_of_instr.(2) <- a;
-  expect_rejection res "cross-wired clusters"
+  cn_of_instr.(1) <- b;
+  cn_of_instr.(2) <- a;
+  expect_rejection ~original:res { res with Hierarchy.cn_of_instr }
+    "cross-wired clusters"
     [
       "no path between the two cluster sets";
       "value owed upwards on no output port";

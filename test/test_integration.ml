@@ -94,7 +94,7 @@ let test_wire_loads_within_final_mii () =
           List.iter
             (fun (sub : Hierarchy.subresult) ->
               Alcotest.(check bool) "wire load bounded" true
-                (sub.Hierarchy.mapres.Mapper.max_wire_load <= final))
+                (sub.Hierarchy.max_wire_load <= final))
             (Hierarchy.subresults res)
       | _ -> Alcotest.fail "must clusterise")
     Hca_kernels.Registry.all

@@ -92,12 +92,56 @@ let test_flow_add_and_query () =
   Copy_flow.add_copy flow ~src:0 ~dst:1 7;
   Copy_flow.add_copy flow ~src:0 ~dst:1 8;
   Copy_flow.add_copy flow ~src:0 ~dst:1 7;
+  let frozen = Copy_flow.freeze flow in
   Alcotest.(check (list int)) "dedup, order kept" [ 7; 8 ]
-    (Copy_flow.copies flow ~src:0 ~dst:1);
+    (Copy_flow.Frozen.copies frozen ~src:0 ~dst:1);
   Alcotest.(check int) "count" 2 (Copy_flow.copy_count flow);
-  Alcotest.(check (list int)) "in neighbors" [ 0 ] (Copy_flow.real_in_neighbors flow 1);
+  Alcotest.(check (list int)) "in neighbors" [ 0 ]
+    (Copy_flow.Frozen.real_in_neighbors frozen 1);
   Alcotest.(check int) "in pressure" 2 (Copy_flow.in_pressure flow 1);
-  Alcotest.(check int) "out pressure" 2 (Copy_flow.out_pressure flow 0)
+  Alcotest.(check int) "out pressure" 2 (Copy_flow.out_pressure flow 0);
+  (* The frozen view does not follow later mutations. *)
+  Copy_flow.add_copy flow ~src:2 ~dst:1 9;
+  Alcotest.(check int) "frozen count" 2 (Copy_flow.Frozen.copy_count frozen);
+  let dropped = Copy_flow.Frozen.remove_copy frozen ~src:0 ~dst:1 7 in
+  Alcotest.(check (list int)) "dropped one" [ 8 ]
+    (Copy_flow.Frozen.copies dropped ~src:0 ~dst:1);
+  Alcotest.(check int) "dropped pressure" 1
+    (Copy_flow.Frozen.in_pressure dropped 1)
+
+(* The frozen view answers what the live flow's counters say: one
+   random routing per case over a PG with ports, frozen at the end. *)
+let prop_freeze_agrees =
+  QCheck.Test.make ~name:"frozen view agrees with the live counters" ~count:200
+    QCheck.(pair (int_range 0 10_000) (int_range 1 40))
+    (fun (seed, moves) ->
+      let rng = Random.State.make [| seed |] in
+      let pg =
+        Pattern_graph.with_ports (complete4 ())
+          ~inputs:[ (0, [ 1; 2 ]); (1, [ 3 ]) ]
+          ~outputs:[ (0, [ 4 ]) ]
+      in
+      let n = Pattern_graph.size pg in
+      let flow = Copy_flow.create pg in
+      for _ = 1 to moves do
+        let src = Random.State.int rng n and dst = Random.State.int rng n in
+        if Copy_flow.can_add flow ~src ~dst then
+          Copy_flow.add_copy flow ~src ~dst (Random.State.int rng 6)
+      done;
+      let f = Copy_flow.freeze flow in
+      Copy_flow.Frozen.copy_count f = Copy_flow.copy_count flow
+      && List.for_all
+           (fun id ->
+             Copy_flow.Frozen.in_pressure f id = Copy_flow.in_pressure flow id
+             && List.length (Copy_flow.Frozen.real_in_neighbors f id)
+                = Copy_flow.real_in_count flow id
+             && List.for_all
+                  (fun dst ->
+                    Copy_flow.Frozen.copies f ~src:id ~dst <> [])
+                  (Copy_flow.Frozen.real_out_neighbors f id))
+           (List.init n Fun.id)
+      && List.length (List.concat_map (fun (_, _, vs) -> vs) (Copy_flow.Frozen.arcs f))
+         = Copy_flow.copy_count flow)
 
 let test_flow_max_in_enforced () =
   let flow = Copy_flow.create (complete4 ()) in
@@ -162,9 +206,10 @@ let test_flow_clone_isolation () =
   Copy_flow.add_copy flow ~src:2 ~dst:3 7;
   let mid = Copy_flow.snapshot flow in
   Copy_flow.undo_to_mark flow mark;
-  Alcotest.(check (list int)) "rewound" [] (Copy_flow.copies flow ~src:2 ~dst:3);
+  Alcotest.(check (list int)) "rewound" []
+    (Copy_flow.Frozen.copies (Copy_flow.freeze flow) ~src:2 ~dst:3);
   Alcotest.(check (list int)) "snapshot kept it" [ 7 ]
-    (Copy_flow.copies mid ~src:2 ~dst:3)
+    (Copy_flow.Frozen.copies (Copy_flow.freeze mid) ~src:2 ~dst:3)
 
 (* --- dspfabric -------------------------------------------------------- *)
 
@@ -316,6 +361,7 @@ let () =
           Alcotest.test_case "in port limit" `Quick test_flow_in_port_limit;
           Alcotest.test_case "reserved backbone" `Quick test_flow_reserved_backbone;
           Alcotest.test_case "clone" `Quick test_flow_clone_isolation;
+          QCheck_alcotest.to_alcotest prop_freeze_agrees;
         ] );
       ( "dspfabric",
         [

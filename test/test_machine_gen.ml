@@ -336,6 +336,62 @@ let test_dse_rows_match_standalone () =
         (Report.invariant_string e.Dse.report))
     res.Dse.evals
 
+(* A machine with no address generator: seed 2262 at [hetero = 0.3]
+   gives every CN [{alus = 1; ags = 0}].  The sweep must rank the point
+   unviable, not die on it. *)
+let test_dse_no_ag_slot () =
+  let points = Dse.random_points ~hetero:0.3 ~count:1 ~seed:2262 () in
+  Alcotest.(check int) "no AG slot" 0
+    (Machine_desc.resources (List.hd points).Dse.desc).Hca_ddg.Mii.ag_slots;
+  let res =
+    Dse.run
+      ~kernels:[ ("fir2dim", Hca_kernels.Fir2dim.ddg ()) ]
+      points
+  in
+  (match res.Dse.evals with
+  | [ e ] ->
+      Alcotest.(check bool) "illegal row" false e.Dse.report.Report.legal;
+      Alcotest.(check (option string)) "the error names the class"
+        (Some "unmappable: the machine has no AG slot for the kernel's 23 AG ops")
+        e.Dse.report.Report.error
+  | _ -> Alcotest.fail "one evaluation expected");
+  Alcotest.(check (list (option int))) "unviable" [ None ]
+    (List.map (fun (s : Dse.summary) -> s.Dse.score) res.Dse.summaries);
+  Alcotest.(check int) "empty front" 0 (List.length res.Dse.front);
+  match Dse.check res with Ok () -> () | Error e -> Alcotest.fail e
+
+(* The same [ags = 0] table on a hand-written machine: a kernel with AG
+   ops cannot map, one without maps as on any machine, its AG class
+   bounding nothing. *)
+let test_no_ag_machine () =
+  let machine =
+    match
+      Machine_io.of_string
+        "machine noag\nlevel 2 4\nlevel 2 4\ncn_in_wires 2\ndma_ports 4\n\
+         cn 0-3 1 0\n"
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let with_ag = Report.run machine (Hca_kernels.Fir2dim.ddg ()) in
+  Alcotest.(check bool) "with AG ops: illegal" false with_ag.Report.legal;
+  Alcotest.(check (option string)) "with AG ops: the reason"
+    (Some "unmappable: the machine has no AG slot for the kernel's 23 AG ops")
+    with_ag.Report.error;
+  Alcotest.(check int) "with AG ops: no probe" 0 with_ag.Report.cache_misses;
+  let alu_only =
+    let b = Hca_ddg.Ddg.Builder.create ~name:"alu_only" () in
+    let ops = List.init 6 (fun _ -> Hca_ddg.Ddg.Builder.add_instr b Hca_ddg.Opcode.Add) in
+    List.iteri
+      (fun i dst -> if i > 0 then Hca_ddg.Ddg.Builder.add_dep b ~src:(List.nth ops (i - 1)) ~dst)
+      ops;
+    Hca_ddg.Ddg.Builder.freeze b
+  in
+  let without = Report.run machine alu_only in
+  Alcotest.(check bool) "without AG ops: legal" true without.Report.legal;
+  Alcotest.(check int) "without AG ops: 6 ALU ops on 4 ALUs" 2
+    without.Report.mii_res
+
 (* Machine names reach the NDJSON verbatim, whatever bytes they hold:
    every line must stay strict JSON and give the name back exactly. *)
 let test_dse_ndjson_names () =
@@ -506,6 +562,10 @@ let () =
             test_dse_rows_match_standalone;
           Alcotest.test_case "NDJSON names stay JSON" `Quick
             test_dse_ndjson_names;
+          Alcotest.test_case "machine with no AG slot" `Quick
+            test_dse_no_ag_slot;
+          Alcotest.test_case "ags = 0 with and without AG ops" `Quick
+            test_no_ag_machine;
           QCheck_alcotest.to_alcotest prop_non_dominated;
         ] );
       ("addressing", [ QCheck_alcotest.to_alcotest prop_cn_addresses ]);

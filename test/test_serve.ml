@@ -615,6 +615,125 @@ let test_store_corrupt_and_missing () =
   Alcotest.(check int) "daemon survives corruption" 0 (Daemon.loaded_entries t);
   Sys.remove path
 
+(* Every reader after the search answers the same from a record that
+   went through the store: one run fills a fresh cache, the cache goes
+   through [Store.save], [Store.load] and [Hierarchy.restore], and a
+   second run is served from the restored cache alone. *)
+let prop_record_survives_store =
+  QCheck.Test.make ~count:10
+    ~name:"memo records survive the store and answer every reader the same"
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let module H = Hca_core.Hierarchy in
+      let module R = Hca_core.Report in
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      let path = tmp_store "record" in
+      let readers (r : R.t) =
+        ( R.invariant_string r,
+          Option.map
+            (fun res ->
+              ( Hca_core.Metrics.of_result res,
+                Hca_core.Coherency.check res,
+                Hca_core.Topology.of_result res ))
+            r.R.result )
+      in
+      let survives fabric =
+        let cache = H.create_cache () in
+        let first = R.run ~jobs:1 ~cache fabric ddg in
+        (match Store.save ~path ~stamp:"prop" (H.snapshot cache) with
+        | Ok _ -> ()
+        | Error e -> failwith e);
+        let restored =
+          match Store.load ~path ~stamp:"prop" with
+          | Ok (Some snap) -> H.restore snap
+          | Ok None -> failwith "store not found"
+          | Error e -> failwith e
+        in
+        Sys.remove path;
+        let second = R.run ~jobs:1 ~cache:restored fabric ddg in
+        readers first = readers second
+        && second.R.cache_hits > 0
+        && second.R.cache_misses = 0
+      in
+      survives Hca_machine.Dspfabric.reference
+      && survives (Hca_gen.Gen.fabric ~seed ()))
+
+(* No file contents can stop the daemon: a store with any one byte
+   flipped, or cut at any length, is refused and counted, and the
+   daemon serves the cold answer. *)
+let test_store_corruption_starts_cold () =
+  let path = tmp_store "damaged" in
+  if Sys.file_exists path then Sys.remove path;
+  let submit = {|{"verb":"submit","gen_seed":3}|} in
+  let a = Daemon.create ~store_path:path () in
+  let cold = jstr (run_one a submit) "invariant" in
+  (match Daemon.flush_store a with
+  | Ok (Some _) -> ()
+  | _ -> Alcotest.fail "flush failed");
+  let good = In_channel.with_open_bin path In_channel.input_all in
+  let n = String.length good in
+  let starts_cold label bytes =
+    Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+    match Daemon.create ~store_path:path () with
+    | exception e ->
+        Alcotest.failf "%s: Daemon.create raised %s" label
+          (Printexc.to_string e)
+    | t ->
+        let stats = ok_json (line_of (Daemon.handle_line t {|{"verb":"stats"}|})) in
+        Alcotest.(check int) (label ^ ": nothing loaded") 0
+          (jint stats "loaded_entries");
+        Alcotest.(check int) (label ^ ": one store rejected") 1
+          (jint stats "store_rejected");
+        Alcotest.(check string) (label ^ ": the cold answer") cold
+          (jstr (run_one t submit) "invariant")
+  in
+  (* Every byte of the four header lines, then payload bytes spread
+     over the file; every cut short of the header's end, then cuts
+     spread over the payload. *)
+  let header =
+    let rec nth_newline i k =
+      if k = 0 then i else nth_newline (String.index_from good i '\n' + 1) (k - 1)
+    in
+    nth_newline 0 4
+  in
+  let spread k = List.init k (fun i -> header + (i * (n - header) / k)) in
+  List.iter
+    (fun off ->
+      let b = Bytes.of_string good in
+      Bytes.set b off (Char.chr (Char.code good.[off] lxor 0xff));
+      starts_cold (Printf.sprintf "byte %d flipped" off) (Bytes.to_string b))
+    (List.init header Fun.id @ spread 40 @ [ n - 1 ]);
+  List.iter
+    (fun len ->
+      starts_cold (Printf.sprintf "cut at %d" len) (String.sub good 0 len))
+    (List.init header Fun.id @ spread 30 @ [ n - 1 ]);
+  Sys.remove path
+
+(* The committed records keep a fir2dim store small: one lifetime of
+   [hca serve --stdio] used to write 102,006 bytes. *)
+let test_store_size_pin () =
+  let path = tmp_store "size" in
+  if Sys.file_exists path then Sys.remove path;
+  let hca =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/hca_cli.exe"
+  in
+  let ic, oc =
+    Unix.open_process_args hca [| hca; "serve"; "--stdio"; "--store"; path |]
+  in
+  output_string oc
+    "{\"verb\":\"submit\",\"kernel\":\"fir2dim\"}\n\
+     {\"verb\":\"result\",\"id\":0,\"wait\":true}\n\
+     {\"verb\":\"shutdown\"}\n";
+  close_out oc;
+  ignore (In_channel.input_all ic);
+  ignore (Unix.close_process (ic, oc));
+  let size = (Unix.stat path).Unix.st_size in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "store of %d bytes, at most 55%% of 102,006" size)
+    true
+    (size > 0 && size * 100 <= 102_006 * 55)
+
 (* ------------------------------------------------------------------ *)
 (* Telemetry: the metrics verb, per-request traces, the flight         *)
 (* recorder, and the extended stats fields.  The registry and the      *)
@@ -884,6 +1003,10 @@ let () =
             test_store_corrupt_and_missing;
           Alcotest.test_case "stamp independent of cwd" `Quick
             test_store_stamp_independent_of_cwd;
+          Alcotest.test_case "damaged store starts cold" `Quick
+            test_store_corruption_starts_cold;
+          Alcotest.test_case "fir2dim store size" `Quick test_store_size_pin;
+          QCheck_alcotest.to_alcotest prop_record_survives_store;
         ] );
       ( "telemetry",
         [
