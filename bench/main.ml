@@ -14,9 +14,10 @@
 
    The global flag --json switches the per-kernel experiments (table1,
    fig_scaling, extended, optgap) to newline-delimited JSON records on
-   stdout — one object per kernel with at least "kernel", "final_mii"
-   and "copies", plus the "config_hash" and "git" stamps — so the
-   quality trajectory can be tracked across PRs by machines instead of
+   stdout — one object per kernel: the HCA report as Report.to_json
+   writes it (optgap nests it under "hca"), the experiment's own
+   figures, and the "config_hash" and "git" stamps — so the quality
+   trajectory can be tracked across PRs by machines instead of
    eyeballs.  The rows carry no timings: one wall-clock sample cannot
    tell a change from noise, so speed is measured by perf/hcabench in
    alternating pairs (scripts/perf_pair.sh).  The text tables keep
@@ -108,17 +109,11 @@ let table1 () =
       let optimum = Hca_baseline.Unified.mii ddg reference in
       if !json_mode then
         emit_json ~experiment:"table1" ~kernel:name
-          [
-            ("n_instr", jint r.Report.n_instr);
-            ("legal", Json.Bool r.Report.legal);
-            ("final_mii", jopt_int r.Report.final_mii);
-            ("portfolio_mii", jopt_int best.Report.final_mii);
-            ("unified_mii", jint optimum);
-            ("copies", jint r.Report.copies);
-            ("cache_hits", jint r.Report.cache_hits);
-            ("cache_misses", jint r.Report.cache_misses);
-            ("reused_subproblems", jint r.Report.reused_subproblems);
-          ]
+          (Report.to_json r
+          @ [
+              ("portfolio_mii", jopt_int best.Report.final_mii);
+              ("unified_mii", jint optimum);
+            ])
       else
         Hca_util.Tabular.add_row t
           [
@@ -200,16 +195,11 @@ let fig_scaling () =
       in
       if !json_mode then
         emit_json ~experiment:"fig_scaling" ~kernel:name
-          [
-            ("final_mii", jopt_int hca.Report.final_mii);
-            ("copies", jint hca.Report.copies);
-            ("hca_states", jint hca.Report.explored_states);
-            ("cache_hits", jint hca.Report.cache_hits);
-            ("cache_misses", jint hca.Report.cache_misses);
-            ("reused_subproblems", jint hca.Report.reused_subproblems);
-            ("flat_states", jint flat.Hca_baseline.Flat_ica.explored);
-            ("flat_mux_violations", jopt_int violations);
-          ]
+          (Report.to_json hca
+          @ [
+              ("flat_states", jint flat.Hca_baseline.Flat_ica.explored);
+              ("flat_mux_violations", jopt_int violations);
+            ])
       else
         Hca_util.Tabular.add_row t
           [
@@ -454,10 +444,7 @@ let optgap () =
       if !json_mode then
         emit_json ~experiment:"optgap" ~kernel:name
           [
-            ("n_instr", jint n);
-            ("hca_final_mii", jopt_int hca.Report.final_mii);
-            ("hca_legal", Json.Bool hca.Report.legal);
-            ("hca_cache_hits", jint hca.Report.cache_hits);
+            ("hca", Json.Obj (Report.to_json hca));
             ("status", Json.Str (Hca_exact.Oracle.status_to_string oracle.Hca_exact.Oracle.status));
             ("final_mii", jopt_int oracle.Hca_exact.Oracle.final_mii);
             ("lower_bound", jint oracle.Hca_exact.Oracle.lower_bound);
@@ -667,17 +654,7 @@ let extended () =
       in
       if !json_mode then
         emit_json ~experiment:"extended" ~kernel:name
-          [
-            ("n_instr", jint r.Report.n_instr);
-            ("ini_mii", jint r.Report.ini_mii);
-            ("legal", Json.Bool r.Report.legal);
-            ("final_mii", jopt_int r.Report.final_mii);
-            ("copies", jint r.Report.copies);
-            ("cache_hits", jint r.Report.cache_hits);
-            ("cache_misses", jint r.Report.cache_misses);
-            ("reused_subproblems", jint r.Report.reused_subproblems);
-            ("wires", jopt_int wires);
-          ]
+          (Report.to_json r @ [ ("wires", jopt_int wires) ])
       else
         Hca_util.Tabular.add_row t
           [

@@ -8,8 +8,11 @@
    Quality gate.  Both files hold the NDJSON rows [bench/main.exe
    --json], [hca dse --out] or [hca loadtest --out] write.  For every
    (experiment, kernel) row present in BOTH files, the quality fields —
-   "final_mii", "legal", "copies", and "wires" when present — must
-   match exactly, compared as JSON values; counters may drift.  Rows
+   "final_mii", "legal", "copies", and "max_wire_load" and "wires" when
+   the baseline has them — must match exactly, compared as JSON values;
+   counters may drift.  Report figures are named as Hca_core.Report
+   writes them (this executable does not link the library, so the list
+   spells them); "wires" is bench extended's topology wire count.  Rows
    only one side has are reported but do not fail the gate, so the
    baseline need not grow in lockstep with the suite.  A baseline row
    whose "git" stamp ends in "-dirty" draws a warning: it matches no
@@ -42,7 +45,7 @@
 
 module Json = Hca_util.Json
 
-let quality_fields = [ "final_mii"; "legal"; "copies"; "wires" ]
+let quality_fields = [ "final_mii"; "legal"; "copies"; "max_wire_load"; "wires" ]
 
 let skipped_experiments = [ "optgap" ]
 

@@ -4,7 +4,6 @@
      stats  <kernel>   static DDG statistics and MII bounds
      run    <kernel>   full HCA pass on a DSPFabric instance
      exact  <kernel>   SAT-based exact cluster-assignment oracle
-     table1            reproduce Table 1 of the paper
      dse               design-space sweep over machine descriptions
      dot    <kernel>   DOT dump (optionally clustered by assignment)
      serve             compile daemon (socket/stdio, persistent memo store)
@@ -178,27 +177,13 @@ let stats_cmd =
     Term.(const run $ kernel_arg $ fabric_term)
 
 let run_cmd =
-  let run (name, f) fabric config jobs no_memo stats trace ii =
+  let run (name, f) fabric config jobs no_memo trace ii =
     ignore name;
     with_trace trace @@ fun () ->
     match ii with
     | None ->
-        let report =
-          Report.run ~config ~jobs ~memo:(not no_memo) fabric (f ())
-        in
-        Format.printf "%a@." Report.pp report;
-        if stats then
-          (* The memo block prints even when all counters are zero;
-             a disabled memo is labelled, not elided. *)
-          Format.printf
-            "search stats: explored=%d routed=%d %s@."
-            report.Report.explored_states report.Report.routed_moves
-            (if not report.Report.memo_enabled then
-               "memo disabled (--no-memo)"
-             else
-               Printf.sprintf "memo hits=%d misses=%d reused subproblems=%d"
-                 report.Report.cache_hits report.Report.cache_misses
-                 report.Report.reused_subproblems)
+        Format.printf "%a@." Report.pp
+          (Report.run ~config ~jobs ~memo:(not no_memo) fabric (f ()))
     | Some ii -> (
         (* Debug mode: a single HCA pass at a fixed II. *)
         let ddg = f () in
@@ -224,18 +209,10 @@ let run_cmd =
              set-level search reuse across IIs.  Every field except the \
              runtime is identical with or without them.")
   in
-  let stats =
-    Arg.(
-      value & flag
-      & info [ "stats" ]
-          ~doc:
-            "Print a search-statistics line (explored states, routed moves, \
-             memo hits/misses, reused subproblems).")
-  in
   Cmd.v (Cmd.info "run" ~doc:"Run HCA on one kernel")
     Term.(
       const run $ kernel_arg $ fabric_term $ config_term $ patience_jobs
-      $ no_memo $ stats $ trace_arg $ ii_arg)
+      $ no_memo $ trace_arg $ ii_arg)
 
 let profile_cmd =
   let run (name, f) fabric config jobs no_memo trace =
@@ -319,22 +296,6 @@ let tracecheck_cmd =
          "Validate a Chrome trace-event JSON file (well-formed JSON, \
           balanced per-track span nesting)")
     Term.(const run $ file $ expects $ quiet)
-
-let table1_cmd =
-  let run fabric config =
-    let table =
-      Hca_util.Tabular.create
-        (List.map (fun h -> (h, Hca_util.Tabular.Left)) Report.header)
-    in
-    List.iter
-      (fun (_, f) ->
-        let report = Report.run ~config fabric (f ()) in
-        Hca_util.Tabular.add_row table (Report.row report))
-      Registry.all;
-    Hca_util.Tabular.print table
-  in
-  Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table 1 of the paper")
-    Term.(const run $ fabric_term $ config_term)
 
 (* hca dse: enumerate/sample machine points, evaluate every (machine x
    kernel) pair on the domain pool, and report the Pareto front over
@@ -1227,4 +1188,4 @@ let () =
     Cmd.info "hca" ~version:"1.0.0"
       ~doc:"Hierarchical Cluster Assignment for DSPFabric (IPPS 2007 reproduction)"
   in
-  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; table1_cmd; dse_cmd; dot_cmd; explain_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))
+  exit (Cmd.eval (Cmd.group info [ stats_cmd; run_cmd; profile_cmd; tracecheck_cmd; exact_cmd; dse_cmd; dot_cmd; explain_cmd; topology_cmd; sched_cmd; simulate_cmd; portfolio_cmd; rcp_cmd; fuzz_cmd; serve_cmd; loadtest_cmd; top_cmd; list_cmd ]))

@@ -79,10 +79,3 @@ let score w s =
     ~util_spread:s.util_spread ~projected_ii:s.projected_ii
     ~target_ii:s.target_ii ~used_in_ports:s.used_in_ports
     ~fanin_sat:s.fanin_sat ~carried_cuts:s.carried_cuts
-
-let pp_weights ppf w =
-  Format.fprintf ppf
-    "{copy=%g; balance=%g; pressure=%g; port=%g; util=%g; fanin=%g; tear=%g; \
-     carried=%g}"
-    w.w_copy w.w_balance w.w_pressure w.w_port w.w_util w.w_fanin w.w_tear
-    w.w_carried

@@ -92,5 +92,3 @@ val cluster_mii_flat :
     flat-layout refresh path that keeps cluster demand as
     struct-of-arrays and never builds [Resource.t] records.
     [cluster_mii] is defined in terms of this. *)
-
-val pp_weights : Format.formatter -> weights -> unit

@@ -9,10 +9,6 @@
 open Hca_ddg
 open Hca_machine
 
-val default_configs : (string * Config.t) list
-(** Diverse and cheap: default, wide beam, criticality order, spread
-    wires, and copy-averse weights. *)
-
 val run_all :
   ?jobs:int ->
   ?memo:bool ->

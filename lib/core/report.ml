@@ -42,9 +42,20 @@ type t = {
   runtime_s : float;
   alloc_mb : float;
   minor_gcs : int;
+  placement : int;
   error : string option;
   result : Hierarchy.t option;
 }
+
+let placement_digest r =
+  let sig_ = Hca_util.Sig_hash.create () in
+  Hca_util.Sig_hash.add_int_array sig_ r.Hierarchy.cn_of_instr;
+  List.iter
+    (fun (v, cn) ->
+      Hca_util.Sig_hash.add_int sig_ v;
+      Hca_util.Sig_hash.add_int sig_ cn)
+    r.Hierarchy.forwards;
+  Hca_util.Sig_hash.value sig_
 
 (* Live-registry accounting of every finished run.  Registry updates
    never feed back into the search, so the report itself is unchanged
@@ -132,6 +143,7 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
         runtime_s = Hca_util.Clock.now () -. t0;
         alloc_mb = Alloc_meter.mb meter;
         minor_gcs = Alloc_meter.minor_gcs meter;
+        placement = 0;
         error = None;
         result = None;
       }
@@ -148,6 +160,7 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
             copies = metrics.copies;
             forwards = metrics.forwards;
             max_wire_load = metrics.max_wire_load;
+            placement = placement_digest res;
             error = (if legal then None else Some "coherency check failed");
             result = Some res;
           })
@@ -197,45 +210,115 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
   | Some reason -> finish [] ~timed_out:false (Error (Some reason))
   | None -> climb ini_mii [] None
 
-let header = [ "Loop"; "N_Instr"; "MIIRec"; "MIIRes"; "Legal"; "Final MII" ]
-
-let row t =
-  [
-    t.kernel;
-    string_of_int t.n_instr;
-    string_of_int t.mii_rec;
-    string_of_int t.mii_res;
-    (if t.legal then "yes" else "no");
-    (match t.final_mii with Some m -> string_of_int m | None -> "-");
-  ]
-
 let invariant_string t =
   (* Everything a correct run determines uniquely: quality figures plus
      a digest of the actual placement.  Deliberately excludes
      [runtime_s] (wall clock), the memo counters (zero when the memo is
      off) and [memo_enabled], so the same string must come back at any
      [--jobs], memo on/off, traced or untraced. *)
-  let placement =
-    match t.result with
-    | None -> 0
-    | Some r ->
-        let sig_ = Hca_util.Sig_hash.create () in
-        Hca_util.Sig_hash.add_int_array sig_ r.Hierarchy.cn_of_instr;
-        List.iter
-          (fun (v, cn) ->
-            Hca_util.Sig_hash.add_int sig_ v;
-            Hca_util.Sig_hash.add_int sig_ cn)
-          r.Hierarchy.forwards;
-        Hca_util.Sig_hash.value sig_
-  in
   Printf.sprintf
     "legal=%b final=%s ii=%d copies=%d forwards=%d wire=%d explored=%d \
      routed=%d placement=%x error=%s"
     t.legal
     (match t.final_mii with Some m -> string_of_int m | None -> "-")
     t.ii_used t.copies t.forwards t.max_wire_load t.explored_states
-    t.routed_moves placement
+    t.routed_moves t.placement
     (match t.error with None -> "-" | Some e -> e)
+
+module Json = Hca_util.Json
+
+let to_json t =
+  let num i = Json.Num (float_of_int i) in
+  [
+    ("machine", Json.Str t.machine);
+    ("n_instr", num t.n_instr);
+    ("mii_rec", num t.mii_rec);
+    ("mii_res", num t.mii_res);
+    ("ini_mii", num t.ini_mii);
+    ("legal", Json.Bool t.legal);
+    ("final_mii", Option.fold ~none:Json.Null ~some:num t.final_mii);
+    ("ii_used", num t.ii_used);
+    ("copies", num t.copies);
+    ("forwards", num t.forwards);
+    ("max_wire_load", num t.max_wire_load);
+    ("explored_states", num t.explored_states);
+    ("routed_moves", num t.routed_moves);
+    ("cache_hits", num t.cache_hits);
+    ("cache_misses", num t.cache_misses);
+    ("reused_subproblems", num t.reused_subproblems);
+    ("memo_enabled", Json.Bool t.memo_enabled);
+    ("timed_out", Json.Bool t.timed_out);
+    ("placement", Json.Str (Printf.sprintf "%x" t.placement));
+    ("invariant", Json.Str (invariant_string t));
+  ]
+  @ match t.error with None -> [] | Some e -> [ ("error", Json.Str e) ]
+
+let quality_json t =
+  List.filter
+    (fun (k, _) -> List.mem k [ "legal"; "final_mii"; "copies"; "max_wire_load" ])
+    (to_json t)
+
+let of_json j =
+  let ( let* ) = Result.bind in
+  let field name kind decode =
+    match Json.member name j with
+    | None -> Error (Printf.sprintf "report field %S: missing" name)
+    | Some v -> (
+        match decode v with
+        | Some x -> Ok x
+        | None -> Error (Printf.sprintf "report field %S: expected %s" name kind))
+  in
+  let int name = field name "an integer" Json.int in
+  let bool name = field name "a boolean" Json.bool in
+  let str name = field name "a string" Json.str in
+  let* kernel = str "kernel" in
+  let* machine = str "machine" in
+  let* n_instr = int "n_instr" in
+  let* mii_rec = int "mii_rec" in
+  let* mii_res = int "mii_res" in
+  let* ini_mii = int "ini_mii" in
+  let* legal = bool "legal" in
+  let* final_mii =
+    field "final_mii" "an integer or null" (function
+      | Json.Null -> Some None
+      | v -> Option.map Option.some (Json.int v))
+  in
+  let* ii_used = int "ii_used" in
+  let* copies = int "copies" in
+  let* forwards = int "forwards" in
+  let* max_wire_load = int "max_wire_load" in
+  let* explored_states = int "explored_states" in
+  let* routed_moves = int "routed_moves" in
+  let* cache_hits = int "cache_hits" in
+  let* cache_misses = int "cache_misses" in
+  let* reused_subproblems = int "reused_subproblems" in
+  let* memo_enabled = bool "memo_enabled" in
+  let* timed_out = bool "timed_out" in
+  let* placement =
+    field "placement" "a hex digest" (fun v ->
+        Option.bind (Json.str v) (fun h -> int_of_string_opt ("0x" ^ h)))
+  in
+  let* error =
+    match Json.member "error" j with
+    | None -> Ok None
+    | Some _ -> Result.map Option.some (str "error")
+  in
+  let* invariant = str "invariant" in
+  let t =
+    {
+      kernel; machine; n_instr; mii_rec; mii_res; ini_mii; legal; final_mii;
+      ii_used; copies; forwards; max_wire_load; explored_states;
+      routed_moves; cache_hits; cache_misses; reused_subproblems;
+      memo_enabled; timed_out; runtime_s = 0.; alloc_mb = 0.; minor_gcs = 0;
+      placement; error; result = None;
+    }
+  in
+  if invariant_string t = invariant then Ok t
+  else
+    Error
+      (Printf.sprintf
+         "report field \"invariant\": %S, but the other fields give %S"
+         invariant (invariant_string t))
 
 (* The memo figures print even when every counter is zero — a zero line
    must still read as "memo on, nothing reusable", never be mistaken

@@ -1,6 +1,7 @@
 (** The top-level HCA entry point: the initiation-interval search loop
-    around {!Hierarchy.solve}, plus the record the benches print as the
-    rows of Table 1.
+    around {!Hierarchy.solve}, plus the record every surface reports —
+    bench rows, [hca dse] rows and daemon replies all go through
+    {!to_json}, and {!of_json} reads them back.
 
     The driver starts at the theoretical lower bound
     [iniMII = max (MIIRec, MIIRes)] and climbs until a legal
@@ -69,6 +70,9 @@ type t = {
   minor_gcs : int;
       (** minor collections triggered on the calling domain during the
           search (same caveat as {!field-alloc_mb}) *)
+  placement : int;
+      (** FNV digest of the committed placement and forwards of
+          [result], taken once when the run finishes; [0] without one *)
   error : string option;
   result : Hierarchy.t option;  (** the winning assignment, for inspection *)
 }
@@ -113,19 +117,38 @@ val run :
     silently.  Deadline runs are wall-clock dependent, so the
     invariance guarantees above only cover [deadline_s = None]. *)
 
-val header : string list
-(** Column names matching {!row}. *)
-
-val row : t -> string list
-(** Paper-style row: loop, N_Instr, MIIRec, MIIRes, legal, final MII. *)
-
 val invariant_string : t -> string
 (** Canonical one-line rendering of every field a correct run
-    determines uniquely — the quality figures plus an FNV digest of the
-    committed placement and forwards.  Excludes the wall clock, the
-    memo counters and [memo_enabled], so the differential fuzz harness
-    asserts this string is bit-identical at every [jobs], memo on/off,
-    traced or untraced. *)
+    determines uniquely — the quality figures plus {!field-placement}.
+    Excludes the wall clock, the memo counters and [memo_enabled], so
+    the differential fuzz harness asserts this string is bit-identical
+    at every [jobs], memo on/off, traced or untraced.  It reads only
+    the record, so a decoded report ({!of_json}) reproduces it. *)
+
+val to_json : t -> (string * Hca_util.Json.t) list
+(** The one JSON encoding of a report: each field under its own name,
+    in declaration order, then ["invariant"] ({!invariant_string}), and
+    ["error"] only when set.  [placement] is a hex string (a 62-bit
+    digest does not survive a JSON double).  Four fields are left out:
+    [kernel], because every row and reply is already keyed by it
+    ({!Hca_util.Json.row} writes it first); [result]; and the meters
+    [runtime_s], [alloc_mb] and [minor_gcs], so rows carry no timings
+    and [hca dse] NDJSON stays byte-identical at any [--jobs].  Callers
+    extend the list with their own fields. *)
+
+val quality_json : t -> (string * Hca_util.Json.t) list
+(** The fields of {!to_json} that [bench_guard] gates — [legal],
+    [final_mii], [copies], [max_wire_load] — for rows that must not
+    carry the memo counters (served loadtest rows, where a warm store
+    changes them). *)
+
+val of_json : Hca_util.Json.t -> (t, string) result
+(** The one reader: a JSON object holding [kernel] and every field
+    {!to_json} writes ([error] optional) decodes to the report it came
+    from, with [result = None] and the meters 0; other keys are
+    ignored.  A missing or wrong-typed field is an [Error] naming it,
+    and so is an ["invariant"] that the decoded fields do not
+    reproduce. *)
 
 val pp : Format.formatter -> t -> unit
 (** The report in two lines.  Its memo figures read ["memo=off"] when

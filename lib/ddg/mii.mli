@@ -13,9 +13,6 @@ val rec_mii : Ddg.t -> int
     [latency - II * distance].  Returns [1] for a recurrence-free graph
     (one iteration can start every cycle as far as data flow goes). *)
 
-val rec_mii_of_scc : Ddg.t -> Instr.id list -> int
-(** The same bound restricted to one strongly connected component. *)
-
 type resources = {
   alu_slots : int;  (** ALUs usable per cycle (one per CN) *)
   ag_slots : int;  (** address generators usable per cycle *)

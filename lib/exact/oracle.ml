@@ -32,8 +32,8 @@ type t = {
   error : string option;
 }
 
-let run ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii ?incumbent
-    ?(reuse = true) fabric ddg =
+let search ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii
+    ?incumbent ?(reuse = true) fabric ddg =
   Hca_obs.Obs.span "oracle.run" ~args:[ ("kernel", Ddg.name ddg) ]
   @@ fun () ->
   let t0 = Hca_util.Clock.now () in
@@ -191,6 +191,32 @@ let run ?(strict = false) ?(budget_s = 10.) ?max_conflicts ?max_ii ?incumbent
       | None, false -> None);
   }
 
+(* A kernel needing a resource class the machine lacks fits no II:
+   every bound is refuted without an encoding or a probe. *)
+let run ?strict ?budget_s ?max_conflicts ?max_ii ?incumbent ?reuse fabric ddg =
+  match Mii.unmappable ddg (Dspfabric.resources fabric) with
+  | None ->
+      search ?strict ?budget_s ?max_conflicts ?max_ii ?incumbent ?reuse fabric
+        ddg
+  | Some reason ->
+      {
+        status = Unsat;
+        final_mii = None;
+        lower_bound = max_int;
+        assignment = None;
+        copies = 0;
+        ii_used = 0;
+        explored = 0;
+        propagations = 0;
+        reused_hits = 0;
+        learnt_total = 0;
+        probes = [];
+        runtime_s = 0.;
+        alloc_mb = 0.;
+        minor_gcs = 0;
+        error = Some reason;
+      }
+
 let status_to_string = function
   | Optimal -> "optimal"
   | Feasible -> "feasible"
@@ -199,11 +225,12 @@ let status_to_string = function
 
 let pp ppf t =
   Format.fprintf ppf
-    "status=%s final=%s lower>=%d copies=%d conflicts=%d props=%d reused=%d \
+    "status=%s final=%s lower>=%s copies=%d conflicts=%d props=%d reused=%d \
      probes=%d t=%.2fs"
     (status_to_string t.status)
     (match t.final_mii with Some m -> string_of_int m | None -> "-")
-    t.lower_bound t.copies t.explored t.propagations t.reused_hits
+    (if t.lower_bound = max_int then "inf" else string_of_int t.lower_bound)
+    t.copies t.explored t.propagations t.reused_hits
     (List.length t.probes) t.runtime_s;
   match t.error with
   | Some e -> Format.fprintf ppf " (%s)" e

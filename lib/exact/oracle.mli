@@ -21,7 +21,10 @@
       out of budget before being decided;
     - [Timeout]: the budget expired before any model was found;
     - [Unsat]: the whole capped search range was refuted (only possible
-      when [max_ii] caps the range below the instance size).
+      when [max_ii] caps the range below the instance size), or the
+      kernel needs a resource class the machine lacks
+      ({!Hca_ddg.Mii.unmappable}): then no probe runs, [error] names
+      the class and [lower_bound] is [max_int].
 
     Any SEE or cost-function change can be regression-checked against
     the oracle: with the default relaxed encoding the oracle's
@@ -52,7 +55,8 @@ type t = {
   status : status;
   final_mii : int option;  (** [max iniMII k] of the best model found *)
   lower_bound : int;
-      (** certified: no assignment achieves a final MII below this *)
+      (** certified: no assignment achieves a final MII below this;
+          [max_int] when no II maps the kernel *)
   assignment : int array option;  (** instruction -> CN of the best model *)
   copies : int;  (** inter-CN value hops of the best model *)
   ii_used : int;  (** cluster window of the best model; [0] if none *)

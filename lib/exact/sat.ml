@@ -80,7 +80,6 @@ type t = {
   (* statistics *)
   mutable probe : int;
   mutable n_conflicts : int;
-  mutable n_decisions : int;
   mutable n_props : int;
   mutable n_learnt_total : int;
   mutable n_deleted_total : int;
@@ -118,7 +117,6 @@ let create ?(reduce_start = 2000) () =
     reduce_limit = max 16 reduce_start;
     probe = 0;
     n_conflicts = 0;
-    n_decisions = 0;
     n_props = 0;
     n_learnt_total = 0;
     n_deleted_total = 0;
@@ -130,7 +128,6 @@ let nvars t = t.nvars
 
 let conflicts t = t.n_conflicts
 
-let decisions t = t.n_decisions
 
 let propagations t = t.n_props
 
@@ -744,7 +741,6 @@ let solve ?(assumptions = []) ?(deadline = infinity) ?max_conflicts t =
                  result := Sat;
                  t.has_model <- true
              | v ->
-                 t.n_decisions <- t.n_decisions + 1;
                  t.trail_lim.(t.trail_lim_size) <- t.trail_size;
                  t.trail_lim_size <- t.trail_lim_size + 1;
                  let l = if t.polarity.(v) then 2 * v else (2 * v) + 1 in

@@ -85,8 +85,6 @@ val conflicts : t -> int
 (** Total conflicts (the oracle's [explored] analogue of the SEE
     state counter). *)
 
-val decisions : t -> int
-
 val propagations : t -> int
 (** Literals enqueued by unit propagation. *)
 

@@ -159,10 +159,10 @@ let run ?(config = Config.default) ?(jobs = 1) ~kernels points =
   let summaries, front = summarise points evals in
   { evals; summaries; front }
 
-(* NDJSON mirrors bench/main.ml's row shape (same quality-field names,
-   so bench_guard gates dse rows like any experiment) but only prints
-   figures that are pure functions of the sweep spec — no wall clock,
-   no allocation meters — so the bytes are identical at any [jobs]. *)
+(* Evaluation rows are [Report.to_json], as bench rows are, so
+   bench_guard gates dse rows like any experiment; the codec prints no
+   wall clock and no allocation meter, so the bytes are identical at
+   any [jobs]. *)
 let to_ndjson r =
   let module Json = Hca_util.Json in
   let buf = Buffer.create 4096 in
@@ -173,28 +173,10 @@ let to_ndjson r =
   let jint i = Json.Num (float_of_int i) in
   let jopt = Option.fold ~none:Json.Null ~some:jint in
   List.iter
-    (fun e ->
-      let r = e.report in
+    (fun (e : eval) ->
       row ~experiment:"dse"
         ~kernel:(e.point ^ "/" ^ e.kernel)
-        ([
-           ("machine", Json.Str r.Report.machine);
-           ("n_instr", jint r.Report.n_instr);
-           ("mii_rec", jint r.Report.mii_rec);
-           ("mii_res", jint r.Report.mii_res);
-           ("legal", Json.Bool r.Report.legal);
-           ("final_mii", jopt r.Report.final_mii);
-           ("ii_used", jint r.Report.ii_used);
-           ("copies", jint r.Report.copies);
-           ("wires", jint r.Report.max_wire_load);
-           ("forwards", jint r.Report.forwards);
-           ("explored", jint r.Report.explored_states);
-           ("invariant", Json.Str (Report.invariant_string r));
-         ]
-        @
-        match r.Report.error with
-        | None -> []
-        | Some e -> [ ("error", Json.Str e) ]))
+        (Report.to_json e.report))
     r.evals;
   List.iter
     (fun s ->

@@ -90,10 +90,9 @@ val non_dominated : (int * int * int) array -> bool array
 
 val to_ndjson : result -> string
 (** One row per evaluation (experiment ["dse"], kernel
-    ["<point>/<kernel>"], quality fields named as the bench rows:
-    [final_mii], [legal], [copies], [wires]) followed by one row per
-    point (experiment ["dse_points"]).  Deterministic byte-for-byte at
-    any [jobs]. *)
+    ["<point>/<kernel>"], fields {!Report.to_json}) followed by one row
+    per point (experiment ["dse_points"]).  Deterministic byte-for-byte
+    at any [jobs]. *)
 
 val ranked_table : result -> string
 (** Human-readable ranking: viable points by ascending score (ties by

@@ -25,9 +25,6 @@ val ddg_candidates : Hca_ddg.Ddg.t -> Hca_ddg.Ddg.t list
 (** Well-formed one-step reductions (each candidate removes exactly one
     node or one edge), in the order {!minimize} tries them. *)
 
-val fabric_candidates : Hca_machine.Dspfabric.t -> Hca_machine.Dspfabric.t list
-(** One-step machine simplifications/relaxations, in trial order. *)
-
 val minimize : keep:(Gen.instance -> bool) -> Gen.instance -> Gen.instance
 (** Greedy fixpoint.  [keep] must accept the initial instance (checked);
     the result still satisfies [keep] and no one-step reduction does. *)

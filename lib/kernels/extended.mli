@@ -4,14 +4,6 @@
     not — deep reductions, wide independent lanes, heavy recurrences —
     and feed the extended benches and property tests. *)
 
-val fir1d : unit -> Hca_ddg.Ddg.t
-(** 16-tap 1-D FIR (DSPStone fir): one long multiply-accumulate
-    reduction — deep dataflow, minimal parallel width. *)
-
-val matmul4 : unit -> Hca_ddg.Ddg.t
-(** One result row of a 4x4 integer matrix multiply: four independent
-    dot products over a shared operand row. *)
-
 val fft_stage : unit -> Hca_ddg.Ddg.t
 (** One radix-2 decimation-in-time stage over 8 complex points: four
     butterflies with twiddle multiplication — the classic reconfigurable

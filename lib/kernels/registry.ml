@@ -12,6 +12,4 @@ let find name = List.assoc_opt name extended
 
 let names = List.map fst all
 
-let extended_names = List.map fst extended
-
-let sorted = List.sort compare extended_names
+let sorted = List.sort compare (List.map fst extended)

@@ -13,8 +13,6 @@ val find : string -> (unit -> Hca_ddg.Ddg.t) option
 val names : string list
 (** Table-1 names only. *)
 
-val extended_names : string list
-
 val sorted : string list
 (** Every findable kernel name (Table-1 and extended), alphabetically —
     what user-facing listings and error messages should print. *)

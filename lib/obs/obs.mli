@@ -94,8 +94,6 @@ module Log : sig
 
   type field = S of string | I of int | F of float | B of bool
 
-  val level_name : level -> string
-
   val level_of_string : string -> level option
   (** ["debug"]/["info"]/["warn"] (or ["warning"])/["error"]. *)
 
@@ -234,32 +232,16 @@ module Summary : sig
 end
 
 module Trace : sig
-  val chrome_of_streams :
-    ?meta:(string * string) list ->
-    epoch:float ->
-    (int * event list) list ->
-    string
-  (** Chrome trace-event / Perfetto JSON ("traceEvents" array) over
-      arbitrary per-track streams: one thread track per stream id
+  val to_chrome_json : ?meta:(string * string) list -> unit -> string
+  (** Chrome trace-event / Perfetto JSON ("traceEvents" array) over the
+      global trace buffer ({!events}): one thread track per domain
       (named [domain-<id>]), "B"/"E" pairs for spans, "i" instants,
       cumulative "C" counter series, raw "C" gauges for histogram
-      samples.  Timestamps are microseconds relative to [epoch];
-      [meta] lands in ["otherData"]. *)
-
-  val to_chrome_json : ?meta:(string * string) list -> unit -> string
-  (** {!chrome_of_streams} over the global trace buffer ({!events})
-      with the global {!epoch}. *)
+      samples.  Timestamps are microseconds relative to the global
+      {!epoch}; [meta] lands in ["otherData"]. *)
 
   val write : ?meta:(string * string) list -> string -> unit
   (** [write path] saves {!to_chrome_json} to [path]. *)
-
-  val write_streams :
-    ?meta:(string * string) list ->
-    string ->
-    (int * event list) list ->
-    unit
-  (** Save explicit streams (a ring dump, a request capture) with the
-      epoch pinned to their earliest timestamp. *)
 end
 
 (** The flight recorder: a fixed-size per-domain ring of recent
@@ -286,7 +268,8 @@ module Ring : sig
       torn off, never the structure. *)
 
   val write : ?meta:(string * string) list -> string -> unit
-  (** {!Trace.write_streams} of {!dump} (tagged [recorder=flight]). *)
+  (** Saves {!dump} as a Chrome trace (tagged [recorder=flight]), its
+      epoch pinned to the earliest timestamp. *)
 end
 
 (** Per-request capture: everything the {e calling domain} records

@@ -13,8 +13,6 @@ val ii : t -> int
 
 val issue_free : t -> cn:int -> cycle:int -> bool
 
-val dma_free : t -> cycle:int -> bool
-
 val reserve : t -> cn:int -> cycle:int -> memory:bool -> bool
 (** Take the issue slot (and a DMA port when [memory]); [false] and no
     change when something is occupied. *)

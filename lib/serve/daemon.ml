@@ -303,26 +303,6 @@ let state_name = function
       else if r.Report.legal && r.Report.error = None then "done"
       else "failed"
 
-let report_fields (r : Report.t) =
-  [
-    ("kernel", Json.Str r.kernel);
-    ("machine", Json.Str r.machine);
-    ("n_instr", num r.n_instr);
-    ("legal", Json.Bool r.legal);
-    ( "final_mii",
-      match r.final_mii with None -> Json.Null | Some m -> num m );
-    ("ii_used", num r.ii_used);
-    ("copies", num r.copies);
-    ("forwards", num r.forwards);
-    ("max_wire_load", num r.max_wire_load);
-    ("cache_hits", num r.cache_hits);
-    ("cache_misses", num r.cache_misses);
-    ("timed_out", Json.Bool r.timed_out);
-    ("runtime_s", Json.Num r.runtime_s);
-    ("invariant", Json.Str (Report.invariant_string r));
-  ]
-  @ match r.error with None -> [] | Some e -> [ ("error", Json.Str e) ]
-
 let result_line t id =
   let base st = (("id", num id), ("state", Json.Str (state_name st))) in
   match Jobq.state t.q id with
@@ -352,7 +332,11 @@ let result_line t id =
             ]
       | Jobq.Crashed e ->
           Protocol.ok_response [ idf; stf; ("error", Json.Str e) ]
-      | Jobq.Solved r -> Protocol.ok_response (idf :: stf :: report_fields r))
+      | Jobq.Solved r ->
+          let kernel = ("kernel", Json.Str r.Report.kernel)
+          and runtime = ("runtime_s", Json.Num r.Report.runtime_s) in
+          Protocol.ok_response
+            ((idf :: stf :: kernel :: Report.to_json r) @ [ runtime ]))
 
 let stats_line t =
   let tot = Jobq.totals t.q in

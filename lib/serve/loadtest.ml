@@ -109,10 +109,7 @@ type served = {
   seed : int;
   kernel : string;
   state : string;
-  legal : bool;
-  final_mii : int option;
-  copies : int;
-  invariant : string option;
+  report : Report.t option;  (** [None] for a job that never ran *)
   latency_s : float;
 }
 
@@ -159,18 +156,21 @@ let worker ~path ~max_size ~deadline_s seeds =
           | "deadline_exceeded" -> Registry.inc "hca_client_timeouts_total"
           | "failed" | "cancelled" -> Registry.inc "hca_client_errors_total"
           | _ -> ());
+          (* A finished job carries its report; an expired, crashed
+             or cancelled one carries none (and no invariant). *)
+          let report =
+            match Json.member "invariant" j with
+            | None when state <> "done" -> None
+            | _ -> (
+                match Report.of_json j with
+                | Ok r -> Some r
+                | Error e -> fail "job %d: %s" id e)
+          in
           {
             seed;
             kernel = (try jstr j "kernel" with Client_error _ -> "?");
             state;
-            legal =
-              Option.value ~default:false
-                (Option.bind (Json.member "legal" j) Json.bool);
-            final_mii = Option.bind (Json.member "final_mii" j) Json.int;
-            copies =
-              Option.value ~default:0
-                (Option.bind (Json.member "copies" j) Json.int);
-            invariant = Option.bind (Json.member "invariant" j) Json.str;
+            report;
             latency_s;
           })
         pending)
@@ -184,14 +184,14 @@ let slices jobs l =
   |> List.filter (fun s -> s <> [])
 
 let verify_served ~max_size served =
-  match served.invariant with
+  match served.report with
   | None -> None (* expired / crashed: nothing to compare *)
   | Some remote ->
       let ddg = Daemon.gen_kernel ~seed:served.seed ~max_size in
       let local =
         Report.run ~jobs:1 Hca_machine.Dspfabric.reference ddg
       in
-      Some (Report.invariant_string local = remote)
+      Some (Report.invariant_string local = Report.invariant_string remote)
 
 (* The loadtest may share its process with earlier registry traffic
    (tests, repeated runs), so per-run figures are deltas between two
@@ -237,14 +237,9 @@ let emit_rows path served agg_fields =
       List.iter
         (fun s ->
           row s.kernel
-            [
-              ("seed", num s.seed);
-              ("state", Json.Str s.state);
-              ("legal", Json.Bool s.legal);
-              ("final_mii", Option.fold ~none:Json.Null ~some:num s.final_mii);
-              ("copies", num s.copies);
-              ("latency_ms", Json.fixed 3 (s.latency_s *. 1000.));
-            ])
+            ([ ("seed", num s.seed); ("state", Json.Str s.state) ]
+            @ Option.fold ~none:[] ~some:Report.quality_json s.report
+            @ [ ("latency_ms", Json.fixed 3 (s.latency_s *. 1000.)) ]))
         served;
       row "_aggregate" agg_fields)
 

@@ -10,15 +10,19 @@
     percentiles of the sorted latencies
     ({!Hca_obs.Obs.Summary.percentile}); the tracer is left alone.
 
-    With [verify], every served report is checked bit-identical
-    ({!Hca_core.Report.invariant_string}) against a local one-shot
-    {!Hca_core.Report.run} of the same seeded kernel — the proof that
-    the shared warm store changes the clock, never the answer.
+    Every reply that carries a report is decoded with
+    {!Hca_core.Report.of_json}; a reply it rejects fails the run with
+    the decoder's message.  With [verify], every served report is
+    checked bit-identical ({!Hca_core.Report.invariant_string}) against
+    a local one-shot {!Hca_core.Report.run} of the same seeded kernel —
+    the proof that the shared warm store changes the clock, never the
+    answer.
 
     [json_out] writes bench-style NDJSON: one ["serve_loadtest"] row
-    per seed (quality fields, so [bench_guard] can compare a cold and a
-    warm lifetime) plus one ["_aggregate"] row with the
-    throughput/latency/cache figures. *)
+    per seed (its state and latency, plus
+    {!Hca_core.Report.quality_json} when the job ran, so [bench_guard]
+    can compare a cold and a warm lifetime) and one ["_aggregate"] row
+    with the throughput/latency/cache figures. *)
 
 type summary = {
   count : int;

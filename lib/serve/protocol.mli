@@ -41,10 +41,13 @@
 
     Responses always carry ["ok"]: [{"ok":true, ...}] on success,
     [{"ok":false,"error":"..."}] otherwise.  A finished job's result
-    row carries ["state"] ∈ {["done"], ["failed"],
-    ["deadline_exceeded"], ["cancelled"]}; ["deadline_exceeded"] still
-    reports the partial best-so-far fields when the search found any
-    legal configuration before the cut-off.
+    row carries ["id"] and ["state"] ∈ {["done"], ["failed"],
+    ["deadline_exceeded"], ["cancelled"]}; a job that ran adds
+    ["kernel"], its report as {!Hca_core.Report.to_json} writes it
+    ({!Hca_core.Report.of_json} reads it back) and the ["runtime_s"]
+    meter.  ["deadline_exceeded"] still reports the partial
+    best-so-far fields when the search found any legal configuration
+    before the cut-off.
 
     {2 The [stats] reply, field by field}
 

@@ -16,12 +16,9 @@
     Writes are atomic (temp file, [fsync], [rename]), so a crash
     mid-flush leaves the previous store intact. *)
 
-val format_version : string
-(** Part of the stamp, so a layout change is spelled out beside the
-    source digest. *)
-
 val default_stamp : unit -> string
-(** ["hca-store:<digest>:<format_version>"], where the digest covers
+(** ["hca-store:<digest>:<format>"], where the format version spells a
+    layout change out beside the source digest, and the digest covers
     every source file under [lib/] and is taken when the library is
     built: two builds of different sources never share a stamp, and one
     build has the same stamp in every working directory.  Computing it

@@ -642,12 +642,6 @@ let test_metrics_sanity () =
       Alcotest.(check bool) "final >= ini" true (m.Metrics.final_mii >= m.Metrics.ini_mii);
       Alcotest.(check bool) "final >= cls" true (m.Metrics.final_mii >= m.Metrics.max_cls_mii)
 
-let test_report_rows () =
-  let report = Report.run Dspfabric.reference (Hca_kernels.Fir2dim.ddg ()) in
-  let row = Report.row report in
-  Alcotest.(check int) "columns" (List.length Report.header) (List.length row);
-  Alcotest.(check string) "name" "fir2dim" (List.hd row)
-
 let test_hierarchy_narrow_fabric_fails_or_degrades () =
   (* N = M = K = 1 cannot carry idcthor's traffic at any II we allow:
      either it fails or legality costs a much larger final MII. *)
@@ -882,6 +876,115 @@ let test_hierarchy_counts_consistent () =
       (* Every instruction plus every forward is on some CN. *)
       Alcotest.(check int) "all placed" (4 + List.length res.Hierarchy.forwards) total
 
+(* --- the report codec --------------------------------------------------- *)
+
+module Json = Hca_util.Json
+
+(* A report as a row or a reply carries it: keyed by its kernel, and
+   through the bytes. *)
+let codec_line (r : Report.t) =
+  Json.Obj (("kernel", Json.Str r.Report.kernel) :: Report.to_json r)
+
+let decode line = Result.bind (Json.parse (Json.to_string line)) Report.of_json
+
+let round_trip (r : Report.t) =
+  match decode (codec_line r) with
+  | Error e -> Error e
+  | Ok d ->
+      if
+        d.Report.kernel = r.Report.kernel
+        && Report.to_json d = Report.to_json r
+        && Report.invariant_string d = Report.invariant_string r
+      then Ok ()
+      else Error (Json.to_string (codec_line d))
+
+(* Every CN {1 ALU, 0 AG}: a kernel with an AG op (every generated one
+   holds a Store) is unmappable here, an error row without a probe. *)
+let no_ag =
+  lazy
+    (match
+       Machine_io.of_string
+         "machine noag\nlevel 2 4\nlevel 2 4\ncn_in_wires 2\ndma_ports 4\n\
+          cn 0-3 1 0\n"
+     with
+    | Ok m -> m
+    | Error e -> failwith e)
+
+let prop_codec_round_trip =
+  QCheck.Test.make ~count:30
+    ~name:"of_json gives back the report to_json wrote"
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+    (fun seed ->
+      let ddg = Hca_gen.Gen.ddg ~seed () in
+      List.for_all
+        (fun machine ->
+          match round_trip (Report.run machine ddg) with
+          | Ok () -> true
+          | Error e -> QCheck.Test.fail_report e)
+        [
+          Dspfabric.reference;
+          Hca_gen.Gen.desc ~hetero:0.3 ~seed ();
+          Lazy.force no_ag;
+        ])
+
+(* The rows the property meets are legal or unmappable; these three
+   carry the other kinds of error text: a failed climb (idcthor needs
+   more wiring than [g4x2-c4-d8] has, as in the CI DSE grid), an
+   unmappable Table 1 kernel, and a deadline that passed before the
+   first probe. *)
+let error_rows () =
+  let g4x2 = Dspfabric.make ~fanouts:[| 4; 2 |] ~n:4 ~m:4 ~k:4 ~dma_ports:8 () in
+  [
+    Report.run g4x2 (Hca_kernels.Idcthor.ddg ());
+    Report.run (Lazy.force no_ag) (Hca_kernels.Fir2dim.ddg ());
+    Report.run ~deadline_s:(-1.) Dspfabric.reference (Hca_kernels.Fir2dim.ddg ());
+  ]
+
+let test_codec_error_rows () =
+  List.iter
+    (fun (r : Report.t) ->
+      Alcotest.(check bool) "an illegal row with an error" true
+        ((not r.Report.legal) && r.Report.error <> None);
+      match round_trip r with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" r.Report.kernel e)
+    (error_rows ())
+
+(* Each field in turn dropped or given the wrong JSON type is an error
+   that names it.  Dropping [error] is caught by the invariant, which
+   spells the error text. *)
+let test_codec_rejects () =
+  let rejects what expected_field fields =
+    match decode (Json.Obj fields) with
+    | Ok _ -> Alcotest.failf "%s: decoded" what
+    | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %S names %S" what e expected_field)
+          true
+          (contains e (Printf.sprintf "%S" expected_field))
+  in
+  let mistyped = function
+    | Json.Str _ -> Json.Num 1.
+    | Json.Bool _ -> Json.Num 0.
+    | _ -> Json.Str "1"
+  in
+  let legal = Report.run Dspfabric.reference (Hca_gen.Gen.ddg ~seed:7 ()) in
+  List.iter
+    (fun (r : Report.t) ->
+      let fields = match codec_line r with Json.Obj l -> l | _ -> assert false in
+      List.iter
+        (fun (k, v) ->
+          let others = List.remove_assoc k fields in
+          rejects ("without " ^ k) (if k = "error" then "invariant" else k) others;
+          rejects ("mistyped " ^ k) k ((k, mistyped v) :: others))
+        fields;
+      let changed k v = (k, v) :: List.remove_assoc k fields in
+      rejects "changed invariant" "invariant"
+        (changed "invariant" (Json.Str (Report.invariant_string r ^ " ")));
+      rejects "changed copies" "invariant"
+        (changed "copies" (Json.Num (float_of_int (r.Report.copies + 1)))))
+    (legal :: error_rows ())
+
 let () =
   Alcotest.run "core"
     [
@@ -948,7 +1051,6 @@ let () =
           Alcotest.test_case "coherency catches corruption" `Quick
             test_coherency_catches_corruption;
           Alcotest.test_case "metrics" `Quick test_metrics_sanity;
-          Alcotest.test_case "report rows" `Slow test_report_rows;
           Alcotest.test_case "narrow fabric degrades" `Slow
             test_hierarchy_narrow_fabric_fails_or_degrades;
           Alcotest.test_case "specific errors" `Quick
@@ -968,6 +1070,13 @@ let () =
             test_hierarchy_counts_consistent;
           Alcotest.test_case "memo keys on content" `Quick
             test_memo_keys_on_content;
+        ] );
+      ( "codec",
+        [
+          QCheck_alcotest.to_alcotest prop_codec_round_trip;
+          Alcotest.test_case "error rows round-trip" `Quick
+            test_codec_error_rows;
+          Alcotest.test_case "bad fields are named" `Quick test_codec_rejects;
         ] );
     ]
 

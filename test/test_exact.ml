@@ -174,6 +174,42 @@ let test_oracle_strict_no_better () =
   | Some r, Some s -> Alcotest.(check bool) "strict >= relaxed" true (s >= r)
   | _ -> Alcotest.fail "both searches should conclude on 4 nodes"
 
+(* A machine with no AG slot maps no kernel holding an AG op at any
+   II: the oracle says so up front, with no encoding and no probe, and
+   its bound is not a finite II.  A kernel without AG ops (the ALU
+   chain) probes as on the same machine with AG slots. *)
+let test_oracle_unmappable () =
+  let machine ags =
+    match
+      Machine_io.of_string
+        (Printf.sprintf
+           "machine noag\nlevel 2 4\nlevel 2 4\ncn_in_wires 2\ndma_ports 4\n\
+            cn 0-3 1 %d\n"
+           ags)
+    with
+    | Ok m -> m
+    | Error e -> Alcotest.fail e
+  in
+  let o = Oracle.run ~budget_s:20. (machine 0) (Hca_kernels.Fir2dim.ddg ()) in
+  Alcotest.(check string) "status" "unsat" (Oracle.status_to_string o.Oracle.status);
+  Alcotest.(check int) "no probe" 0 (List.length o.Oracle.probes);
+  Alcotest.(check (option string)) "the error names the AG class"
+    (Some "unmappable: the machine has no AG slot for the kernel's 23 AG ops")
+    o.Oracle.error;
+  let pp = Format.asprintf "%a" Oracle.pp o in
+  Alcotest.(check bool) ("no finite bound: " ^ pp) true
+    (List.mem "lower>=inf" (String.split_on_char ' ' pp));
+  let verdict (o : Oracle.t) =
+    (Oracle.status_to_string o.Oracle.status, o.Oracle.final_mii, o.Oracle.lower_bound)
+  in
+  let without_ag = Oracle.run ~budget_s:20. (machine 0) (chain4 ()) in
+  let with_ag = Oracle.run ~budget_s:20. (machine 1) (chain4 ()) in
+  Alcotest.(check bool) "no AG ops: probes" true (without_ag.Oracle.probes <> []);
+  Alcotest.(check (triple string (option int) int)) "no AG ops: same verdict"
+    (verdict with_ag) (verdict without_ag);
+  Alcotest.(check int) "no AG ops: same probe count"
+    (List.length with_ag.Oracle.probes) (List.length without_ag.Oracle.probes)
+
 (* Generated instances whose verdict the symmetry breaking settles
    under [oracle_certify]'s conflict budget (each was [feasible] with
    the plain encoding), seeded with the heuristic incumbent the way
@@ -592,6 +628,8 @@ let () =
         [
           Alcotest.test_case "chain optimum" `Quick test_oracle_chain_optimal;
           Alcotest.test_case "strict no better" `Quick test_oracle_strict_no_better;
+          Alcotest.test_case "unmappable kernel: no probe" `Quick
+            test_oracle_unmappable;
           Alcotest.test_case "oracle_certify verdicts" `Quick
             test_oracle_certify_verdicts;
           Alcotest.test_case "model checks" `Quick test_encode_model_checks;
