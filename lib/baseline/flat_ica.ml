@@ -28,7 +28,7 @@ let run ?(config = Config.default) fabric ddg =
           (* See counts states even on failure only via outcome; count
              the attempt cheaply as one state. *)
           incr explored;
-          climb (ii + 1) (Some e)
+          climb (ii + 1) (Some (See.message e ~ii))
   in
   match climb lower None with
   | None, err ->

@@ -63,8 +63,8 @@ let cluster_mii ~demand ~capacity ~receives ~max_in =
 (* The one and only scoring arithmetic: {!score} and the SEE's batch
    scorer both land here, so "bit-identical" is true by construction —
    the float operations and their order exist exactly once. *)
-let score_flat w ~copies ~max_util ~util_spread ~projected_ii ~target_ii
-    ~used_in_ports ~fanin_sat ~carried_cuts =
+let[@inline] score_flat w ~copies ~max_util ~util_spread ~projected_ii
+    ~target_ii ~used_in_ports ~fanin_sat ~carried_cuts =
   let overshoot = max 0 (projected_ii - target_ii) in
   (w.w_copy *. float_of_int copies)
   +. (w.w_balance *. util_spread)
@@ -79,3 +79,13 @@ let score w s =
     ~util_spread:s.util_spread ~projected_ii:s.projected_ii
     ~target_ii:s.target_ii ~used_in_ports:s.used_in_ports
     ~fanin_sat:s.fanin_sat ~carried_cuts:s.carried_cuts
+
+(* The SEE's hot path calls this from another module, where a float
+   argument or result would box: the float terms come in, and the score
+   goes out, through the caller's array. *)
+let score_terms w terms ~copies ~projected_ii ~target_ii ~used_in_ports
+    ~carried_cuts =
+  terms.(3) <-
+    score_flat w ~copies ~max_util:terms.(0) ~util_spread:terms.(1)
+      ~projected_ii ~target_ii ~used_in_ports ~fanin_sat:terms.(2)
+      ~carried_cuts

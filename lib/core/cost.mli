@@ -64,6 +64,21 @@ val score_flat :
     SEE's batch scorer, which never materialises a [summary] record,
     is bit-identical to the record path by construction. *)
 
+val score_terms :
+  weights ->
+  float array ->
+  copies:int ->
+  projected_ii:int ->
+  target_ii:int ->
+  used_in_ports:int ->
+  carried_cuts:int ->
+  unit
+(** {!score_flat} with its float components passed in an array:
+    [terms.(0)] max util, [terms.(1)] util spread and [terms.(2)]
+    fan-in saturation; the score is written to [terms.(3)].  The same
+    arithmetic, so the same bits, with no float boxed across the call —
+    the form the SEE's per-candidate scorer uses. *)
+
 val cluster_mii :
   demand:Hca_machine.Resource.t ->
   capacity:Hca_machine.Resource.t ->

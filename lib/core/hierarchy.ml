@@ -133,72 +133,110 @@ let restore (s : snapshot) : cache =
 
 (* {1 Reuse across II probes}
 
-   A set-level search reads the II only through its capacity window, and
-   {!See.outcome.window} says at which windows it would come back
+   A search reads the II only through its capacity window, and the
+   SEE's outcome or failure says at which windows it would come back
    unchanged.  One table per run (kernel, machine, configuration and
-   target II fixed) keeps, per subproblem, the problem it built — which
-   no II reads — and its successful outcomes, so a later probe whose
-   window falls inside a stored one skips the search.  Leaves are left
-   out: they search at the probe's own II, and their working sets and
-   interfaces change with every parent alternative, so storing them
-   costs memory for little reuse. *)
+   target II fixed) keeps, per subproblem, what a later probe can
+   reuse: its failures at every level; at set levels also the problem
+   it built — which no II reads — and its successful outcomes.  A probe
+   whose window falls inside a stored one skips the search.  Leaves
+   keep no problem and no states: they search at the probe's own II,
+   and their working sets and interfaces change with every parent
+   alternative, so storing their successes costs memory for little
+   reuse; a failure is a window and a few strings. *)
 
 type wkey = { w_level : int; w_path : int list; w_ws : int list; w_ili : Ili.t }
 
 type wentry = {
-  built : (Problem.t * (int * int) list, string) result;
-      (* the problem and its backbone *)
+  built : (Problem.t * (int * int) list, string) result option;
+      (* set levels: the problem and its backbone; leaves keep none *)
   mutable outcomes : See.outcome list;
-      (* successes, each cut to the states [commit] reads *)
+      (* set levels: successes, each cut to the states [commit] reads *)
+  mutable failures : See.failure list;
 }
 
 type windows = { lock : Mutex.t; table : (wkey, wentry) Hashtbl.t }
 
 let create_windows () = { lock = Mutex.create (); table = Hashtbl.create 64 }
 
-let covers ~ii (o : See.outcome) = fst o.window <= ii && ii <= snd o.window
+let covers ~ii (lo, hi) = lo <= ii && ii <= hi
 
-(* The built problem and the outcome of searching it at [ii]: a stored
-   one whose window holds [ii], else [search]'s, then stored with the
-   [keep] states [commit] reads.  The climb only goes up, so outcomes
+(* The built problem and the outcome of searching it at [ii] — or the
+   failure's message: a stored one whose window holds [ii], else
+   [search]'s, then stored (an outcome only at set levels, with the
+   [keep] states [commit] reads).  The climb only goes up, so entries
    wholly below [ii] are dropped.  Domains racing on one key at most
-   turn a hit into a miss, which searches to the same outcome. *)
-let reuse_search w key ~ii ~build ~search ~keep =
-  let e, hit =
+   turn a hit into a miss, which searches to the same result. *)
+let reuse_search w key ~ii ~leaf ~build ~search ~keep =
+  let above (lo_hi : int * int) = snd lo_hi >= ii in
+  let entry, stored =
     Mutex.protect w.lock (fun () ->
         let e =
           match Hashtbl.find_opt w.table key with
           | Some e ->
               e.outcomes <-
-                List.filter
-                  (fun (o : See.outcome) -> snd o.window >= ii)
-                  e.outcomes;
-              e
+                List.filter (fun (o : See.outcome) -> above o.window) e.outcomes;
+              e.failures <-
+                List.filter (fun (f : See.failure) -> above f.window) e.failures;
+              Some e
+          | None when leaf -> None
           | None ->
-              let e = { built = build (); outcomes = [] } in
+              let e = { built = Some (build ()); outcomes = []; failures = [] } in
               Hashtbl.add w.table key e;
-              e
+              Some e
         in
-        (e, List.find_opt (covers ~ii) e.outcomes))
+        let covering f l = List.find_opt (fun x -> covers ~ii (f x)) l in
+        let stored =
+          Option.bind e (fun e ->
+              match covering (fun (f : See.failure) -> f.window) e.failures with
+              | Some f -> Some (Error f)
+              | None -> (
+                  match
+                    ( e.built,
+                      covering (fun (o : See.outcome) -> o.window) e.outcomes )
+                  with
+                  | Some (Ok (problem, _)), Some o -> Some (Ok (problem, o))
+                  | _ -> None))
+        in
+        (e, stored))
   in
-  let* ((problem, _) as built) = e.built in
-  match hit with
-  | Some outcome ->
+  match stored with
+  | Some (Error f) ->
+      Hca_obs.Obs.count "see.window_fail_hit" 1;
+      Error (See.message f ~ii)
+  | Some (Ok hit) ->
       Hca_obs.Obs.count "see.window_hit" 1;
-      Ok (problem, outcome)
-  | None ->
-      let* outcome = search built in
-      let outcome =
-        {
-          outcome with
-          See.alternatives =
-            List.filteri (fun i _ -> i < keep - 1) outcome.See.alternatives;
-        }
+      Ok hit
+  | None -> (
+      let* ((problem, _) as built) =
+        match entry with Some { built = Some b; _ } -> b | _ -> build ()
       in
-      Mutex.protect w.lock (fun () ->
-          if not (List.exists (covers ~ii) e.outcomes) then
-            e.outcomes <- outcome :: e.outcomes);
-      Ok (problem, outcome)
+      match (search built, entry) with
+      | Ok outcome, Some e when not leaf ->
+          let outcome =
+            {
+              outcome with
+              See.alternatives =
+                List.filteri (fun i _ -> i < keep - 1) outcome.See.alternatives;
+            }
+          in
+          Mutex.protect w.lock (fun () ->
+              if
+                not
+                  (List.exists
+                     (fun (o : See.outcome) -> covers ~ii o.window)
+                     e.outcomes)
+              then e.outcomes <- outcome :: e.outcomes);
+          Ok (problem, outcome)
+      | Ok outcome, _ -> Ok (problem, outcome)
+      | Error f, _ ->
+          Mutex.protect w.lock (fun () ->
+              match Hashtbl.find_opt w.table key with
+              | Some e -> e.failures <- f :: e.failures
+              | None ->
+                  Hashtbl.add w.table key
+                    { built = None; outcomes = []; failures = [ f ] });
+          Error (See.message f ~ii))
 
 let rec count_subresults sub =
   Array.fold_left
@@ -382,13 +420,16 @@ let solve ?(config = Config.default) ?target_ii ?cache ?windows ?stats fabric
     in
     let* problem, outcome =
       match windows with
-      | Some w when not view.Dspfabric.is_leaf ->
+      | Some w ->
           reuse_search w
             { w_level = level; w_path = path; w_ws = ws; w_ili = ili }
-            ~ii:see_ii ~build ~search ~keep:config.Config.max_alternatives
-      | _ ->
+            ~ii:see_ii ~leaf:view.Dspfabric.is_leaf ~build ~search
+            ~keep:config.Config.max_alternatives
+      | None -> (
           let* ((problem, _) as built) = build () in
-          Result.map (fun outcome -> (problem, outcome)) (search built)
+          match search built with
+          | Ok outcome -> Ok (problem, outcome)
+          | Error f -> Error (See.message f ~ii:see_ii))
     in
     let pg = Problem.pg problem in
     explored := !explored + outcome.See.explored;

@@ -109,12 +109,14 @@ val cache_length : cache -> int
 (** {1 Reuse across II probes} *)
 
 type windows
-(** One run's set-level search table: per set-level subproblem (level,
-    path, working set, ILI), the problem it built and the successful
-    SEE outcomes with their {!See.outcome.window}s.  A probe whose
-    set-level capacity window falls inside a stored window reuses that
-    outcome — the very one a search would return — instead of
-    searching, and counts [see.window_hit].  Domain-safe. *)
+(** One run's search table: per subproblem (level, path, working set,
+    ILI), the SEE failures with their {!See.failure.window}s, and at
+    set levels also the problem it built and the successful SEE
+    outcomes with their {!See.outcome.window}s.  A probe whose capacity
+    window falls inside a stored window reuses that outcome — the very
+    one a search would return — or that failure's message at its own
+    II, instead of searching, and counts [see.window_hit] or
+    [see.window_fail_hit].  Leaves keep failures only.  Domain-safe. *)
 
 val create_windows : unit -> windows
 (** A table for the probes of {e one} (kernel, machine, configuration,
@@ -134,7 +136,7 @@ val solve :
     [target_ii], default [ii]).  Fails with the path and node of the
     first subproblem that admits no legal clusterisation.  [cache]
     memoises subproblem solutions across calls; [windows] reuses
-    set-level searches across the calls of one run; [stats] accumulates
+    searches across the calls of one run; [stats] accumulates
     the hit/miss counters of this call.  Neither changes the result. *)
 
 val subresults : t -> subresult list

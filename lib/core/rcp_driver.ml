@@ -25,9 +25,9 @@ let solve ?(config = Config.default) rcp ddg =
            ~default:(Printf.sprintf "no assignment up to II=%d" limit))
     else
       match See.solve ~config problem ~ii with
-      | Error e ->
+      | Error f ->
           incr explored;
-          climb (ii + 1) (Some e)
+          climb (ii + 1) (Some (See.message f ~ii))
       | Ok outcome ->
           explored := !explored + outcome.See.explored;
           let state = outcome.See.state in

@@ -2,10 +2,10 @@ open Hca_ddg
 open Hca_machine
 
 module Alloc_meter = struct
-  (* [Gc.allocated_bytes] and the minor-collection counter are
-     per-domain in OCaml 5, so at [jobs > 1] the workers' churn is
-     invisible to a meter started on the caller — the counters are for
-     the [--jobs 1] layout benchmarks. *)
+  (* [Gc.allocated_bytes] is per-domain in OCaml 5: a meter reads the
+     domain that started it, and [Report.run] adds what its attempts
+     allocated on pool domains.  The minor-collection counter is global
+     (a minor collection stops every domain). *)
   type meter = { alloc0 : float; minor0 : int }
 
   let start () =
@@ -98,12 +98,14 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
      never inside one: the structured [timed_out] flag replaces the
      silent truncation a budget used to cause, and the best legal
      attempt finished before the cut-off still comes back. *)
+  let caller = Domain.self () in
   let attempt ii =
     match deadline with
     | Some d when Hca_util.Clock.now () > d -> None
     | _ ->
         Hca_obs.Obs.span "report.probe" ~args:[ ("ii", string_of_int ii) ]
         @@ fun () ->
+        let alloc0 = Gc.allocated_bytes () in
         let stats = Hierarchy.create_stats () in
         let outcome =
           Result.map
@@ -111,14 +113,24 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
             (Hierarchy.solve ~config ~target_ii:ini_mii ?cache:hcache
                ?windows ~stats fabric ddg ~ii)
         in
-        Some (ii, outcome, stats)
+        (* The caller's meter sees the attempts it runs itself; one on a
+           pool domain reports its own domain's bytes. *)
+        let pool_bytes =
+          if Domain.self () = caller then 0.
+          else Gc.allocated_bytes () -. alloc0
+        in
+        Some (ii, outcome, (stats, pool_bytes))
   in
   (* The memo counters sum over the attempts made, the explored and
-     routed totals over the successful ones. *)
+     routed totals over the successful ones; allocation over the caller
+     and every domain an attempt ran on. *)
   let finish made ~timed_out best =
     let sum f = List.fold_left (fun acc a -> acc + f a) 0 made in
-    let stat f = sum (fun (_, _, s) -> f s) in
+    let stat f = sum (fun (_, _, (s, _)) -> f s) in
     let solved f = sum (function _, Ok (res, _, _), _ -> f res | _ -> 0) in
+    let pool_bytes =
+      List.fold_left (fun acc (_, _, (_, b)) -> acc +. b) 0. made
+    in
     let row =
       {
         kernel = Ddg.name ddg;
@@ -141,7 +153,7 @@ let run ?(config = Config.default) ?(jobs = 1) ?(memo = true) ?cache
         memo_enabled = memo;
         timed_out;
         runtime_s = Hca_util.Clock.now () -. t0;
-        alloc_mb = Alloc_meter.mb meter;
+        alloc_mb = Alloc_meter.mb meter +. (pool_bytes /. (1024.0 *. 1024.0));
         minor_gcs = Alloc_meter.minor_gcs meter;
         placement = 0;
         error = None;

@@ -13,10 +13,11 @@
 open Hca_ddg
 open Hca_machine
 
-(** Calling-domain allocation accounting, shared by {!run} and the
-    exact oracle: [Gc.allocated_bytes] / minor-collection deltas since
-    {!Alloc_meter.start}.  Per-domain in OCaml 5 — at [jobs > 1] worker
-    churn is invisible; compare like with like at [--jobs 1]. *)
+(** Allocation accounting, shared by {!run} and the exact oracle:
+    [Gc.allocated_bytes] / minor-collection deltas since
+    {!Alloc_meter.start}.  [Gc.allocated_bytes] is per-domain in
+    OCaml 5, so a meter sees its own domain only; {!run} adds what its
+    attempts allocated on pool domains. *)
 module Alloc_meter : sig
   type meter
 
@@ -26,7 +27,8 @@ module Alloc_meter : sig
   (** MB allocated on this domain since [start]. *)
 
   val minor_gcs : meter -> int
-  (** Minor collections on this domain since [start]. *)
+  (** Minor collections since [start]: a minor collection stops every
+      domain, so the count is process-wide. *)
 end
 
 type t = {
@@ -62,14 +64,15 @@ type t = {
           truncation.  Always [false] without a deadline. *)
   runtime_s : float;  (** wall-clock seconds spent in the whole search *)
   alloc_mb : float;
-      (** MB allocated on the calling domain's OCaml heap during the
-          search ({!Gc.allocated_bytes} delta): the churn figure the
-          data-layout work optimises.  At [jobs > 1] the worker domains'
-          allocation is not included — compare like with like at
-          [--jobs 1]. *)
+      (** MB allocated on the OCaml heap during the search: the calling
+          domain's {!Gc.allocated_bytes} delta plus, for each attempt
+          that ran on a pool domain ([jobs > 1]), that domain's delta
+          over the attempt — so one run reports about the same figure
+          at any [jobs].  The churn figure the data-layout work
+          optimises. *)
   minor_gcs : int;
-      (** minor collections triggered on the calling domain during the
-          search (same caveat as {!field-alloc_mb}) *)
+      (** minor collections during the search, process-wide (they
+          include other work running at the same time) *)
   placement : int;
       (** FNV digest of the committed placement and forwards of
           [result], taken once when the run finishes; [0] without one *)

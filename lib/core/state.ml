@@ -3,8 +3,9 @@ open Hca_machine
 (* Flat data layout: everything the per-probe hot path reads lives in
    int/float arrays indexed by PG node id — no [Resource.t] records, no
    per-cluster lists, no boxed floats.  Every move goes through one
-   path ([begin_move], [route_arcs], [rewind]) on a preallocated arena,
-   so a round trip allocates no undo record once the arena is warm. *)
+   path ([begin_move], [route_arcs], then [rewind] or [commit]'s keep)
+   on a preallocated arena, so a move allocates no undo record once
+   the arena is warm. *)
 type t = {
   problem : Problem.t;
   (* Immutable per-problem caches, shared across clones. *)
@@ -47,8 +48,8 @@ type t = {
 }
 
 (* The move arena: preallocated, pooled per domain and checked out for
-   one move (or one open probe), so the SEE's clones — one per beam
-   survivor — carry no scratch arrays at all. *)
+   one move (or one open probe), so the SEE's beam states carry no
+   scratch arrays at all. *)
 and scratch = {
   mutable cap : int;  (* arrays sized for PGs up to this many nodes *)
   (* Undo scalars of the applied move. *)
@@ -75,7 +76,7 @@ and scratch = {
   mutable tr_util : float array;
   mutable tr_proj : int array;
   mutable tr_fanin : float array;
-  terms : float array;  (* [fold_terms] output *)
+  terms : float array;  (* [fold_terms] output, then the score *)
 }
 
 let grow_scratch s cap =
@@ -120,7 +121,7 @@ let acquire_scratch cap =
           tr_util = [||];
           tr_proj = [||];
           tr_fanin = [||];
-          terms = Array.make 3 0.0;
+          terms = Array.make 4 0.0;
         }
       in
       grow_scratch s cap;
@@ -190,7 +191,7 @@ let create ?(backbone = []) problem =
   (* The mutable per-cluster accumulators are only ever indexed by
      regular-node ids (every write is [is_reg]-guarded), and fabric PGs
      number their regular nodes contiguously at the front, so the five
-     arrays cloned per beam survivor need [max_reg_id + 1] slots, not
+     arrays a beam survivor copies need [max_reg_id + 1] slots, not
      [pg_n] — the ports at the tail would only ever hold zeros. *)
   let n_dem = max 1 (1 + Array.fold_left max (-1) regs) in
   let flow = Copy_flow.create ~max_in_ports:(Problem.max_in_ports problem) pg in
@@ -259,6 +260,29 @@ let clone t =
   if Option.is_some t.probe then invalid_arg "State.clone: probe in flight";
   copy t
 
+(* [copy] into a state the search no longer needs: the same fields, blit
+   into [dst]'s own arrays, so the SEE's beam recycles its dead states
+   instead of allocating a clone per survivor. *)
+let copy_into ~src ~dst =
+  if src.win != dst.win then
+    invalid_arg "State.copy_into: states of different searches";
+  if Option.is_some src.probe || Option.is_some dst.probe then
+    invalid_arg "State.copy_into: probe in flight";
+  let blit a b = Array.blit a 0 b 0 (Array.length a) in
+  blit src.place dst.place;
+  Copy_flow.snapshot_into ~src:src.flow ~dst:dst.flow;
+  blit src.dem_alus dst.dem_alus;
+  blit src.dem_ags dst.dem_ags;
+  Hca_util.Vec.copy_into ~src:src.fwd_val ~dst:dst.fwd_val;
+  Hca_util.Vec.copy_into ~src:src.fwd_via ~dst:dst.fwd_via;
+  dst.carried_cuts <- src.carried_cuts;
+  Array.blit src.fl 0 dst.fl 0 2;
+  dst.assigned <- src.assigned;
+  blit src.node_util dst.node_util;
+  blit src.node_proj dst.node_proj;
+  blit src.node_fanin dst.node_fanin;
+  dst.cache_ii <- src.cache_ii
+
 (* One cluster's cost terms, recomputed from its demand accumulators and
    the flow's O(1) counters.  [id] must be a regular cluster. *)
 let refresh_node t ~ii id =
@@ -291,7 +315,7 @@ let ensure_cache t ~ii = if t.cache_ii <> ii then refresh_all t ~ii
    bit-identical.  Leaves max util, util spread and fan-in saturation
    in [acc] (a float array, so nothing boxes) and returns the projected
    II. *)
-let fold_terms t acc =
+let[@inline] fold_terms t acc =
   let max_util = ref 0.0 and min_util = ref infinity in
   let projected = ref 1 in
   let fanin_sat = ref 0.0 in
@@ -325,14 +349,16 @@ let aggregate t ~ii =
     carried_cuts = t.carried_cuts;
   }
 
-(* [Cost.score (aggregate t ~ii)] without the summary record. *)
-let score_now t acc ~ii ~weights =
+(* [Cost.score (aggregate t ~ii)] without the summary record: the
+   fold's float terms stay in [acc] and the score lands in [acc.(3)], so
+   nothing boxes on the way in or out. *)
+let[@inline] score_now t acc ~ii ~weights =
   let projected_ii = fold_terms t acc in
-  Cost.score_flat weights
+  Cost.score_terms weights acc
     ~copies:(Copy_flow.copy_count t.flow)
-    ~max_util:acc.(0) ~util_spread:acc.(1) ~projected_ii ~target_ii:ii
+    ~projected_ii ~target_ii:ii
     ~used_in_ports:(Copy_flow.used_in_ports_count t.flow)
-    ~fanin_sat:acc.(2) ~carried_cuts:t.carried_cuts
+    ~carried_cuts:t.carried_cuts
 
 let summary t ~ii =
   ensure_cache t ~ii;
@@ -431,9 +457,9 @@ let touch t s c =
 
 (* The move path.  Every move — the SEE's scoring, its materialisation
    and the Route Allocator's forced assignment — is [begin_move], then
-   one [route_arcs] walk, then one [rewind], all on the input state
-   under a pooled arena.  Errors are preallocated constants, so a
-   rejected candidate allocates nothing. *)
+   one [route_arcs] walk, then one [rewind] (or, to keep it, [commit]'s
+   re-score), all on the input state under a pooled arena.  Errors are
+   preallocated constants, so a rejected candidate allocates nothing. *)
 
 let err_assigned = Error "node already assigned"
 let err_not_regular = Error "target is not a regular cluster"
@@ -499,6 +525,12 @@ let route_arcs t s ~collect =
   route_edges t s ~collect ~out:false (Problem.preds t.problem s.node)
   && route_edges t s ~collect ~out:true (Problem.succs t.problem s.node)
 
+let clear_touched s =
+  for i = 0 to s.touched_len - 1 do
+    Hca_util.Bitset.clear s.tmask s.touched.(i)
+  done;
+  s.touched_len <- 0
+
 (* The one rewind: drop the forwards injected since [begin_move] (and
    their ALU slots), restore the undo scalars, unwind the flow to the
    move's mark and clear the touched set. *)
@@ -519,15 +551,12 @@ let rewind t s =
   t.carried_cuts <- s.carried0;
   t.cache_ii <- s.cache_ii0;
   Copy_flow.undo_to_mark t.flow s.fmark;
-  for i = 0 to s.touched_len - 1 do
-    Hca_util.Bitset.clear s.tmask s.touched.(i)
-  done;
-  s.touched_len <- 0
+  clear_touched s
 
 (* Score of the applied move with [t]'s cache warm at [target_ii]:
    refresh the touched clusters, fold, then put their pre-move terms
    back (each cluster appears once, so any restore order is exact). *)
-let score_applied t s ~target_ii ~weights =
+let[@inline] score_applied t s ~target_ii ~weights =
   for i = 0 to s.touched_len - 1 do
     let id = s.touched.(i) in
     s.tr_util.(i) <- t.node_util.(id);
@@ -535,14 +564,14 @@ let score_applied t s ~target_ii ~weights =
     s.tr_fanin.(i) <- t.node_fanin.(id);
     refresh_node t ~ii:target_ii id
   done;
-  let v = score_now t s.terms ~ii:target_ii ~weights in
+  score_now t s.terms ~ii:target_ii ~weights;
   for i = 0 to s.touched_len - 1 do
     let id = s.touched.(i) in
     t.node_util.(id) <- s.tr_util.(i);
     t.node_proj.(id) <- s.tr_proj.(i);
     t.node_fanin.(id) <- s.tr_fanin.(i)
   done;
-  v
+  s.terms.(3)
 
 let score_moves t ~node ~clusters ~ii ~target_ii ~weights ~tail_of_region
     ~scores =
@@ -588,32 +617,40 @@ let update_cost t s ~target_ii ~weights =
     for i = 0 to s.touched_len - 1 do
       refresh_node t ~ii:target_ii s.touched.(i)
     done;
-  t.fl.(0) <- score_now t s.terms ~ii:target_ii ~weights
+  score_now t s.terms ~ii:target_ii ~weights;
+  t.fl.(0) <- s.terms.(3)
 
-(* Clone, then commit: the move runs on [t]'s trail, the moved state is
-   copied and re-scored incrementally, and [t] is rewound. *)
-let try_assign t ~node ~cluster ~ii ~target_ii ~weights =
+(* Commit in place: the move is applied to [t]'s trail, re-scored
+   incrementally and kept — its flow mark is dropped instead of undone
+   and the touched set cleared — so [t] itself becomes the successor. *)
+let commit t ~node ~cluster ~ii ~target_ii ~weights =
+  if Option.is_some t.probe then invalid_arg "State.commit: probe in flight";
   let s = acquire_scratch t.pg_n in
   let r =
     match begin_move t s ~node ~cluster ~ii with
-    | Error m -> Error m
+    | Error _ as e -> e
     | Ok () ->
-        let r =
-          if route_arcs t s ~collect:false then begin
-            let t' = copy t in
-            update_cost t' s ~target_ii ~weights;
-            Ok t'
-          end
-          else
-            Error
-              (Printf.sprintf "no communication pattern %d->%d"
-                 (s.blocked_arc / t.pg_n) (s.blocked_arc mod t.pg_n))
-        in
-        rewind t s;
-        r
+        if route_arcs t s ~collect:false then begin
+          update_cost t s ~target_ii ~weights;
+          Copy_flow.drop_mark t.flow s.fmark;
+          clear_touched s;
+          Ok ()
+        end
+        else begin
+          let blocked = s.blocked_arc in
+          rewind t s;
+          Error
+            (Printf.sprintf "no communication pattern %d->%d" (blocked / t.pg_n)
+               (blocked mod t.pg_n))
+        end
   in
   release_scratch s;
   r
+
+(* Clone, then commit. *)
+let try_assign t ~node ~cluster ~ii ~target_ii ~weights =
+  let t' = clone t in
+  Result.map (fun () -> t') (commit t' ~node ~cluster ~ii ~target_ii ~weights)
 
 let probe_force t ~node ~cluster ~ii =
   if Option.is_some t.probe then

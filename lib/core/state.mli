@@ -7,7 +7,9 @@
     applied to the state's own undo trail and rewound, so a state must
     not be moved from two domains at once; a successor ({!try_assign},
     {!commit_probe}) is a copy taken while the move is applied, so
-    siblings in the beam never alias. *)
+    siblings in the beam never alias.  {!commit} keeps a move in place
+    instead, and {!copy_into} copies into a state the search is done
+    with: the allocation-free pair the SEE's beam step uses. *)
 
 open Hca_ddg
 open Hca_machine
@@ -45,11 +47,35 @@ val try_assign :
     none), and returns the successor state with its cost updated.
     [target_ii] is the II the objective function aims at — usually the
     kernel's iniMII, which may be below the capacity window when the
-    driver had to relax [ii] for feasibility.  Clone, then commit: the
-    move runs on [t]'s own undo trail, the moved state is copied and
-    re-scored incrementally, and [t] is rewound bit for bit.  The first
-    blocked arc fails the move with ["no communication pattern
-    src->dst"]. *)
+    driver had to relax [ii] for feasibility.  Clone, then
+    {!commit}: [t] itself is left as it was.  The first blocked arc
+    fails the move with ["no communication pattern src->dst"].
+    @raise Invalid_argument when a {!probe_force} is in flight. *)
+
+val commit :
+  t ->
+  node:int ->
+  cluster:Pattern_graph.node_id ->
+  ii:int ->
+  target_ii:int ->
+  weights:Cost.weights ->
+  (unit, string) result
+(** {!try_assign}'s move applied to [t] itself: it runs on [t]'s own
+    undo trail, is re-scored incrementally and then kept, so on [Ok]
+    [t] is the successor, and no state is allocated; on [Error] (the
+    same verdicts) [t] is rewound bit for bit.  The SEE commits a beam
+    survivor into its parent this way once every other survivor of
+    that parent has been copied out.
+    @raise Invalid_argument when a {!probe_force} is in flight. *)
+
+val copy_into : src:t -> dst:t -> unit
+(** Overwrites [dst] with [src]'s solution, every cache included,
+    reusing [dst]'s arrays: afterwards [dst] is {!debug_identical} to
+    [clone src].  [dst] must come from [src]'s search (the two share
+    its II window); the SEE recycles a beam state no survivor descends
+    from this way.
+    @raise Invalid_argument when they come from different searches or
+    a probe is in flight on either. *)
 
 val score_moves :
   t ->

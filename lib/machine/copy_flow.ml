@@ -130,6 +130,22 @@ let snapshot t =
      [inport]/[max_in_of] are never mutated after setup, so sharing
      them is safe. *)
 
+(* [snapshot] into a flow of the same search: the tables it would share
+   must be the very same, and the mutable slots are blit in place. *)
+let snapshot_into ~src ~dst =
+  if src.arc_of != dst.arc_of || src.reserved != dst.reserved then
+    invalid_arg "Copy_flow.snapshot_into: flows of different origins";
+  let blit a b = Array.blit a 0 b 0 (Array.length a) in
+  blit src.values dst.values;
+  blit src.in_pres dst.in_pres;
+  blit src.in_deg dst.in_deg;
+  blit src.out_deg dst.out_deg;
+  blit src.committed_in dst.committed_in;
+  dst.total <- src.total;
+  dst.used_ports <- src.used_ports;
+  dst.trail_len <- 0;
+  dst.marks <- 0
+
 let arc_id t ~src ~dst =
   if src >= 0 && src < t.n && dst >= 0 && dst < t.n then
     Array.unsafe_get t.arc_of ((src * t.n) + dst)
@@ -238,6 +254,14 @@ let undo_to_mark t mark =
     undo_event t t.trail.(t.trail_len)
   done;
   t.marks <- t.marks - 1
+
+(* Keep the mutations since the mark: an outer mark still owns the
+   trail entries (undoing it reverses them too); with no mark left the
+   trail is empty, as everywhere outside speculation. *)
+let drop_mark t (_ : mark) =
+  if t.marks <= 0 then invalid_arg "Copy_flow.drop_mark: no mark in flight";
+  t.marks <- t.marks - 1;
+  if t.marks = 0 then t.trail_len <- 0
 
 let equal a b =
   a.n = b.n

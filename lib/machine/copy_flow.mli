@@ -18,9 +18,10 @@
     lookup table resolves a pair to its arc in O(1)); the speculation
     trail is a preallocated int arena, so the SEE's probe loop neither
     chases nested arrays nor allocates per move.  Snapshots
-    ({!snapshot}) copy the per-arc slots — not an [n * n] matrix — and
-    the immutable per-arc value lists stay shared; the beam search
-    takes one per beam survivor. *)
+    ({!snapshot}, {!snapshot_into}) copy the per-arc slots — not an
+    [n * n] matrix — and the immutable per-arc value lists stay shared;
+    the beam search takes one per beam survivor it cannot commit in
+    place. *)
 
 open Hca_ddg
 
@@ -46,9 +47,17 @@ val snapshot : t -> t
     a speculation mark is outstanding: the copy captures the mutations
     made since the mark and starts with a fresh trail and no marks.
     Safe because the per-arc value lists are immutable, so the original
-    popping them on {!undo_to_mark} never disturbs the copy.  A state
-    materialises a move this way: apply it on the trail, snapshot,
-    rewind. *)
+    popping them on {!undo_to_mark} never disturbs the copy.  The Route
+    Allocator's commit copies a probed state this way: apply the move
+    on the trail, snapshot, rewind. *)
+
+val snapshot_into : src:t -> dst:t -> unit
+(** {!snapshot} written into [dst]'s own slots instead of fresh ones:
+    afterwards [dst] routes exactly [src]'s flow, with no marks.  Both
+    flows must share their origin ([dst] a {!snapshot} of [src], or
+    both of a common ancestor): that is how the SEE recycles the flow
+    of a beam state it no longer needs.
+    @raise Invalid_argument when they do not. *)
 
 (** {1 Mutation} *)
 
@@ -101,6 +110,12 @@ val push_mark : t -> mark
 val undo_to_mark : t -> mark -> unit
 (** Reverts every mutation since the matching {!push_mark} and closes
     that mark.
+    @raise Invalid_argument when no mark is outstanding. *)
+
+val drop_mark : t -> mark -> unit
+(** Closes the matching {!push_mark} and keeps every mutation since it:
+    the commit twin of {!undo_to_mark}.  An enclosing mark, if any,
+    still reverses them.
     @raise Invalid_argument when no mark is outstanding. *)
 
 val equal : t -> t -> bool

@@ -24,6 +24,7 @@ type summary = {
   result_p95_ms : float;
   verified : int;
   verify_mismatches : int;
+  verify_skipped : int;
 }
 
 exception Client_error of string
@@ -183,15 +184,23 @@ let slices jobs l =
   Array.to_list (Array.map List.rev buckets)
   |> List.filter (fun s -> s <> [])
 
+type verdict = Identical | Differs | Unverifiable | Unreported
+
+(* A deadline-cut report is the best attempt finished before a
+   wall-clock cut-off, which an unbounded local run does not
+   reproduce: it is counted, not compared. *)
 let verify_served ~max_size served =
   match served.report with
-  | None -> None (* expired / crashed: nothing to compare *)
+  | None -> Unreported (* expired / crashed: nothing to compare *)
+  | Some remote when remote.Report.timed_out -> Unverifiable
   | Some remote ->
       let ddg = Daemon.gen_kernel ~seed:served.seed ~max_size in
       let local =
         Report.run ~jobs:1 Hca_machine.Dspfabric.reference ddg
       in
-      Some (Report.invariant_string local = Report.invariant_string remote)
+      if Report.invariant_string local = Report.invariant_string remote then
+        Identical
+      else Differs
 
 (* The loadtest may share its process with earlier registry traffic
    (tests, repeated runs), so per-run figures are deltas between two
@@ -277,14 +286,11 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
     Array.sort compare latency_ms;
     let latency_q = Hca_obs.Obs.Summary.percentile latency_ms in
     let n_state st = List.length (List.filter (fun s -> s.state = st) served) in
-    let verified_results =
-      if not verify then []
-      else List.filter_map (verify_served ~max_size) served
+    let verdicts =
+      if not verify then [] else List.map (verify_served ~max_size) served
     in
-    let verified = List.length verified_results in
-    let verify_mismatches =
-      List.length (List.filter (fun ok -> not ok) verified_results)
-    in
+    let tally v = List.length (List.filter (( = ) v) verdicts) in
+    let verify_mismatches = tally Differs in
     let delta k = jint after k - jint before k in
     let s =
       {
@@ -309,8 +315,9 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
         submit_p95_ms = rpc_q "submit" 0.95;
         result_p50_ms = rpc_q "result" 0.5;
         result_p95_ms = rpc_q "result" 0.95;
-        verified;
+        verified = tally Identical + verify_mismatches;
         verify_mismatches;
+        verify_skipped = tally Unverifiable;
       }
     in
     Option.iter
@@ -338,6 +345,7 @@ let run ~path ?(count = 25) ?(jobs = 2) ?(seed0 = 1) ?max_size ?deadline_s
             ("loaded_entries", num s.loaded_entries);
             ("verified", num s.verified);
             ("verify_mismatches", num s.verify_mismatches);
+            ("verify_skipped", num s.verify_skipped);
           ])
       json_out;
     Ok s
@@ -360,7 +368,10 @@ let print_summary s =
   Printf.printf
     "  cache: +%d hits / +%d misses this run; %d entries (%d loaded at start)\n"
     s.cache_hits s.cache_misses s.cache_entries s.loaded_entries;
-  if s.verified > 0 then
-    Printf.printf "  verify: %d/%d bit-identical to local one-shot runs\n"
+  if s.verified > 0 || s.verify_skipped > 0 then
+    Printf.printf "  verify: %d/%d bit-identical to local one-shot runs%s\n"
       (s.verified - s.verify_mismatches)
       s.verified
+      (if s.verify_skipped = 0 then ""
+       else
+         Printf.sprintf "; %d deadline-cut, not verifiable" s.verify_skipped)

@@ -16,7 +16,9 @@
     checked bit-identical ({!Hca_core.Report.invariant_string}) against
     a local one-shot {!Hca_core.Report.run} of the same seeded kernel —
     the proof that the shared warm store changes the clock, never the
-    answer.
+    answer.  A report the job's deadline cut short ([timed_out]) holds
+    the best attempt finished before a wall-clock cut-off, which no
+    local run reproduces: it is counted as not verifiable instead.
 
     [json_out] writes bench-style NDJSON: one ["serve_loadtest"] row
     per seed (its state and latency, plus
@@ -51,7 +53,30 @@ type summary = {
   result_p95_ms : float;
   verified : int;  (** local re-runs compared (0 without [verify]) *)
   verify_mismatches : int;
+  verify_skipped : int;
+      (** deadline-cut ([timed_out]) reports, which a local unbounded
+          run cannot reproduce, so [verify] leaves them uncompared *)
 }
+
+type served = {
+  seed : int;
+  kernel : string;
+  state : string;  (** the job's final state, as the daemon names it *)
+  report : Hca_core.Report.t option;  (** [None] for a job that never ran *)
+  latency_s : float;
+}
+(** One submission as the client saw it. *)
+
+type verdict =
+  | Identical  (** same {!Hca_core.Report.invariant_string} as a local run *)
+  | Differs
+  | Unverifiable  (** a deadline-cut report: not compared *)
+  | Unreported  (** no report came back *)
+
+val verify_served : max_size:int option -> served -> verdict
+(** The [verify] check of one submission: its report against a local
+    one-shot {!Hca_core.Report.run} of the same seeded kernel
+    ({!Daemon.gen_kernel} with [max_size]) on the reference fabric. *)
 
 val rpc_once : path:string -> string -> (Hca_util.Json.t, string) result
 (** One request line over a throwaway connection: connect, send,

@@ -1,62 +1,23 @@
-(* Index twin of {!smallest} over a scored batch: [keys.(0..len-1)] are
-   the candidate scores, entries with a non-finite key (the batch
-   scorer's infeasible sentinel) are skipped.  Same selection contract:
-   keys ascending, ties towards the smaller index. *)
-let smallest_indices ~k keys ~len =
-  if k <= 0 || len <= 0 then []
-  else begin
-    let cap = k in
-    let elems = Array.make cap 0 in
-    let sel = Array.make cap infinity in
-    let n = ref 0 in
+(* Bounded insertion over caller-owned arrays: [into.(0..n-1)] holds
+   the indices of the best keys so far, keys ascending, ties in index
+   order.  The selected keys are read back through [into], so the
+   selection needs no buffer of its own and allocates nothing. *)
+let smallest_into ~k keys ~len ~into =
+  let n = ref 0 in
+  if k > 0 then
     for i = 0 to len - 1 do
       let kx = keys.(i) in
       if kx = kx && kx <> infinity && kx <> neg_infinity then
-        if !n < cap || kx < sel.(!n - 1) then begin
-          let stop = if !n < cap then !n else cap - 1 in
-          let j = ref stop in
-          while !j > 0 && sel.(!j - 1) > kx do
-            sel.(!j) <- sel.(!j - 1);
-            elems.(!j) <- elems.(!j - 1);
+        if !n < k || kx < keys.(into.(!n - 1)) then begin
+          (* Shift the strictly-greater tail right; an equal key stays
+             left of the newcomer (stability). *)
+          let j = ref (if !n < k then !n else k - 1) in
+          while !j > 0 && keys.(into.(!j - 1)) > kx do
+            into.(!j) <- into.(!j - 1);
             decr j
           done;
-          sel.(!j) <- kx;
-          elems.(!j) <- i;
-          if !n < cap then incr n
+          into.(!j) <- i;
+          if !n < k then incr n
         end
     done;
-    Array.to_list (Array.sub elems 0 !n)
-  end
-
-let smallest ~k ~key l =
-  if k <= 0 then []
-  else
-    match l with
-    | [] -> []
-    | [ _ ] -> l
-    | x0 :: _ ->
-        (* Bounded insertion: [elems.(0..len-1)] holds the best
-           candidates so far, keys ascending, ties in input order. *)
-        let cap = k in
-        let elems = Array.make cap x0 in
-        let keys = Array.make cap infinity in
-        let len = ref 0 in
-        List.iter
-          (fun x ->
-            let kx = key x in
-            if !len < cap || kx < keys.(!len - 1) then begin
-              let stop = if !len < cap then !len else cap - 1 in
-              (* Shift the strictly-greater tail right; an equal key
-                 stays left of the newcomer (stability). *)
-              let i = ref stop in
-              while !i > 0 && keys.(!i - 1) > kx do
-                keys.(!i) <- keys.(!i - 1);
-                elems.(!i) <- elems.(!i - 1);
-                decr i
-              done;
-              keys.(!i) <- kx;
-              elems.(!i) <- x;
-              if !len < cap then incr len
-            end)
-          l;
-        Array.to_list (Array.sub elems 0 !len)
+  !n

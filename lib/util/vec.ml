@@ -54,6 +54,11 @@ let truncate v n =
 
 let copy v = { data = Array.copy v.data; len = v.len }
 
+let copy_into ~src ~dst =
+  if Array.length dst.data < src.len then dst.data <- Array.copy src.data
+  else Array.blit src.data 0 dst.data 0 src.len;
+  dst.len <- src.len
+
 let to_array v = Array.sub v.data 0 v.len
 
 let of_array a = { data = Array.copy a; len = Array.length a }

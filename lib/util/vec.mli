@@ -28,6 +28,10 @@ val truncate : 'a t -> int -> unit
 val copy : 'a t -> 'a t
 (** Independent copy; used when cloning owners of per-state vectors. *)
 
+val copy_into : src:'a t -> dst:'a t -> unit
+(** Makes [dst] hold [src]'s elements, reusing [dst]'s storage when it
+    is large enough: the recycling twin of {!copy}. *)
+
 (** [to_array v] copies the contents into a fresh fixed array. *)
 val to_array : 'a t -> 'a array
 

@@ -308,7 +308,7 @@ let test_router_hop_limit () =
 let test_see_solves_diamond () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(diamond ()) ~pg:(complete4 ()) () in
   match See.solve p ~ii:2 with
-  | Error e -> Alcotest.fail e
+  | Error f -> Alcotest.fail (See.message f ~ii:2)
   | Ok o ->
       Alcotest.(check bool) "complete" true (State.is_complete o.See.state);
       Alcotest.(check bool) "explored some" true (o.See.explored > 0)
@@ -325,7 +325,7 @@ let test_see_respects_capacity () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "8 ops on 4 slots at ii 1");
   match See.solve p ~ii:2 with
-  | Error e -> Alcotest.fail e
+  | Error f -> Alcotest.fail (See.message f ~ii:2)
   | Ok o ->
       (* Perfect balance: every cluster holds exactly 2. *)
       List.iter
@@ -343,7 +343,7 @@ let test_see_pinned_ports_preassigned () =
   in
   let p = Result.get_ok (Problem.of_working_set ~name:"p" ~ddg ~ws:[ 1; 3 ] ~pg ()) in
   match See.solve p ~ii:4 with
-  | Error e -> Alcotest.fail e
+  | Error f -> Alcotest.fail (See.message f ~ii:4)
   | Ok o ->
       (* The out port must be fed with value 3 by d's cluster. *)
       let flow = Copy_flow.freeze (State.flow o.See.state) in
@@ -368,7 +368,7 @@ let test_see_forced_colocation_fig10 () =
   in
   let p = Result.get_ok (Problem.of_working_set ~name:"p" ~ddg ~ws:[ 0; 1 ] ~pg ()) in
   match See.solve p ~ii:4 with
-  | Error e -> Alcotest.fail e
+  | Error f -> Alcotest.fail (See.message f ~ii:4)
   | Ok o ->
       Alcotest.(check (option int)) "same cluster"
         (State.placement o.See.state 0)
@@ -378,7 +378,7 @@ let test_see_alternatives_sorted () =
   let p = Problem.of_ddg ~name:"p" ~ddg:(diamond ()) ~pg:(complete4 ()) () in
   let config = { Config.default with beam_width = 6 } in
   match See.solve ~config p ~ii:4 with
-  | Error e -> Alcotest.fail e
+  | Error f -> Alcotest.fail (See.message f ~ii:4)
   | Ok o ->
       let costs = List.map State.cost (o.See.state :: o.See.alternatives) in
       Alcotest.(check bool) "sorted" true (List.sort compare costs = costs)
@@ -390,7 +390,8 @@ let test_see_priority_modes () =
       let config = { Config.default with priority } in
       match See.solve ~config p ~ii:4 with
       | Ok o -> Alcotest.(check bool) "complete" true (State.is_complete o.See.state)
-      | Error e -> Alcotest.failf "priority mode failed: %s" e)
+      | Error f ->
+          Alcotest.failf "priority mode failed: %s" (See.message f ~ii:4))
     [ Config.Affinity; Config.Criticality; Config.Source_order ]
 
 (* --- regions ----------------------------------------------------------- *)

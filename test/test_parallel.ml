@@ -8,9 +8,12 @@
    from-scratch recompute and a blocked-arc reference; and the
    parallel portfolio driver must reproduce its sequential run field
    for field, and [Report.run] its [jobs = 1] memo-on run on long II
-   climbs.  Two more properties guard the SEE itself: its final beam
-   never holds two equal states, and its outcome is the same at every
-   II of the window it reports. *)
+   climbs; a run's allocation figure must not depend on [jobs] either.
+   More properties guard the SEE
+   itself: its final beam never holds two equal states, its outcome is
+   the same at every II of the window it reports, and it agrees state
+   for state, and failure for failure, with its reference twin
+   [See_ref], the clone-per-survivor search it replaced. *)
 
 open Hca_machine
 open Hca_core
@@ -72,18 +75,29 @@ let test_pool_reusable () =
 
 let prop_topk_matches_sorted_prefix =
   (* Small keys force ties, so this also pins the stability contract:
-     among equal keys the earlier list element wins. *)
-  QCheck.Test.make ~name:"Topk.smallest = sorted prefix (stable)" ~count:500
-    QCheck.(pair (int_range 0 12) (small_list (int_range 0 5)))
+     among equal keys the smaller index wins.  Key 6 stands for [nan]
+     and 7 for [infinity], the batch scorer's infeasible sentinels,
+     which are never selected. *)
+  QCheck.Test.make ~name:"Topk.smallest_into = sorted finite prefix (stable)"
+    ~count:500
+    QCheck.(pair (int_range 0 12) (small_list (int_range 0 7)))
     (fun (k, keys) ->
-      let l = List.mapi (fun i key -> (float_of_int key, i)) keys in
-      let key (x, _) = x in
-      let reference =
-        List.filteri
-          (fun i _ -> i < k)
-          (List.sort (fun a b -> compare (key a) (key b)) l)
+      let keys =
+        Array.of_list
+          (List.map
+             (function 6 -> nan | 7 -> infinity | key -> float_of_int key)
+             keys)
       in
-      Hca_util.Topk.smallest ~k ~key l = reference)
+      let len = Array.length keys in
+      let reference =
+        List.init len Fun.id
+        |> List.filter (fun i -> Float.is_finite keys.(i))
+        |> List.stable_sort (fun i j -> compare keys.(i) keys.(j))
+        |> List.filteri (fun i _ -> i < k)
+      in
+      let into = Array.make (max 1 (min k len)) (-1) in
+      let r = Hca_util.Topk.smallest_into ~k keys ~len ~into in
+      Array.to_list (Array.sub into 0 r) = reference)
 
 (* ------------------------------------------------------------------ *)
 (* The move path: incremental cost, rewinds and blocked arcs           *)
@@ -91,8 +105,8 @@ let prop_topk_matches_sorted_prefix =
 
 (* A complete 4-cluster PG whose in-neighbour budget [max_in] (1–3 in
    the walks below) binds, so some moves find no communication
-   pattern. *)
-let synthetic_problem ~max_in seed size =
+   pattern; [cap] ALUs and AGs per cluster (default 8). *)
+let synthetic_problem ?(cap = 8) ~max_in seed size =
   let ddg =
     Hca_kernels.Synthetic.generate
       {
@@ -106,7 +120,7 @@ let synthetic_problem ~max_in seed size =
   in
   let pg =
     Pattern_graph.complete ~name:"inc-cost"
-      ~capacities:(Array.make 4 { Resource.alus = 8; ags = 8 })
+      ~capacities:(Array.make 4 { Resource.alus = cap; ags = cap })
       ~max_in
   in
   Problem.of_ddg ~name:"inc-cost" ~ddg ~pg ()
@@ -266,6 +280,37 @@ let prop_speculative_cost_exact =
                  && bits_equal scores.(0) (State.cost st')
                  && bits_equal (State.cost st') (State.cost reference)
              | Error _ -> feasible = 0 && Float.is_nan scores.(0))))
+
+(* The SEE's allocation-free move paths against the cloning ones: a
+   state of the same search, first moved elsewhere, then overwritten by
+   [copy_into], is identical to its source, and [commit] on it gives
+   [try_assign]'s successor (or its verdict, leaving the copy as it
+   was); the source never changes. *)
+let prop_commit_exact =
+  QCheck.Test.make ~name:"copy_into/commit = clone/try_assign, bit for bit"
+    ~count:40
+    QCheck.(pair (int_range 0 1000) (int_range 6 16))
+    (fun (seed, size) ->
+      fst
+        (walk_with_probes ~seed ~size
+           (fun st pristine ~node ~cluster ~ii ~target_ii ~weights ->
+             let dst = State.clone st in
+             ignore
+               (State.commit dst ~node ~cluster:((cluster + 1) land 3) ~ii
+                  ~target_ii ~weights
+                 : (unit, string) result);
+             State.copy_into ~src:st ~dst;
+             let copied = State.debug_identical dst st in
+             let committed =
+               match
+                 ( State.try_assign st ~node ~cluster ~ii ~target_ii ~weights,
+                   State.commit dst ~node ~cluster ~ii ~target_ii ~weights )
+               with
+               | Ok st', Ok () -> State.debug_identical dst st'
+               | Error e, Error e' -> e = e' && State.debug_identical dst st
+               | _ -> false
+             in
+             copied && committed && State.debug_identical st pristine)))
 
 (* The SEE's batched scorer against the reference move: a candidate
    scores iff the reference finds no blocked arc, its score is
@@ -508,6 +553,131 @@ let test_windows_not_vacuous () =
     (!wide > 0 && !wide < !checked)
 
 (* ------------------------------------------------------------------ *)
+(* The SEE against its reference twin                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [See] commits a survivor into its parent or into a recycled frontier
+   state; [See_ref] clones every survivor through lists.  The two must
+   agree on every search: state for state (every cache included),
+   explored, routed and window on success, failure text and window on
+   failure.  A failure must also hold over its window: searched again
+   at its low end, at most 8 above it and at a random II between, it
+   fails with the same text but for the II.  [tally] counts (searches,
+   outcomes with a routed move, failures). *)
+let priorities = [ Config.Affinity; Config.Criticality; Config.Source_order ]
+
+let twin_agrees ?(tally = (ref 0, ref 0, ref 0)) ~rng ?target_ii problem ~ii
+    priority =
+  let searches, routed, failed = tally in
+  let config = { Config.default with Config.priority } in
+  let solve ii = See.solve ~config ?target_ii problem ~ii in
+  incr searches;
+  match (solve ii, See_ref.solve ~config ?target_ii problem ~ii) with
+  | Ok (o : See.outcome), Ok (r : See.outcome) ->
+      if o.routed > 0 then incr routed;
+      same_outcome o r && o.window = r.window
+  | Error (f : See.failure), Error (text, window) ->
+      incr failed;
+      let lo, hi = f.window in
+      let top = min hi (lo + 8) in
+      See.message f ~ii = text
+      && f.window = window
+      && List.for_all
+           (fun ii' ->
+             match solve ii' with
+             | Error f' -> See.message f' ~ii:ii' = See.message f ~ii:ii'
+             | Ok _ -> false)
+           [ lo; top; lo + Hca_util.Prng.int rng (top - lo + 1) ]
+  | _ -> false
+
+(* Every subproblem the hierarchy solves for [ddg] on [fabric], its
+   problem rebuilt from the committed record, at a random II around the
+   one the run used, under each priority. *)
+let twin_on_subproblems ?tally ~seed fabric ddg =
+  let rng = Hca_util.Prng.create seed in
+  let report = Report.run fabric ddg in
+  match report.Report.result with
+  | None -> true
+  | Some res ->
+      List.for_all
+        (fun sub ->
+          let problem = Record_problem.of_subresult res sub in
+          List.for_all
+            (fun priority ->
+              let ii =
+                max 1 ((report.Report.ii_used * 3 / 4) + Hca_util.Prng.int rng 6)
+              in
+              twin_agrees ?tally ~rng ~target_ii:report.Report.ini_mii problem
+                ~ii priority)
+            priorities)
+        (Hierarchy.subresults res)
+
+let twin_on_kernels ?tally seed =
+  let ddg = Hca_gen.Gen.ddg ~seed () in
+  twin_on_subproblems ?tally ~seed Dspfabric.reference ddg
+  && twin_on_subproblems ?tally ~seed
+       (Hca_gen.Gen.desc ~hetero:0.3 ~seed ())
+       ddg
+
+(* The synthetic problems of the speculation properties, with 1–3
+   ALUs and AGs per cluster: an in-neighbour budget of 1–3 blocks
+   moves and the small clusters fill, so partial solutions run out of
+   clusters and the Route Allocator takes over; at a random II of 1–4,
+   with a fixed or a defaulted target. *)
+let twin_on_synthetic ?tally (seed, size) =
+  let rng = Hca_util.Prng.create (seed + 41) in
+  let problem =
+    synthetic_problem
+      ~cap:(1 + Hca_util.Prng.int rng 3)
+      ~max_in:(1 + Hca_util.Prng.int rng 3)
+      seed size
+  in
+  List.for_all
+    (fun priority ->
+      let ii = 1 + Hca_util.Prng.int rng 4 in
+      let target_ii =
+        if Hca_util.Prng.int rng 2 = 0 then None
+        else Some (1 + Hca_util.Prng.int rng 4)
+      in
+      twin_agrees ?tally ~rng ?target_ii problem ~ii priority)
+    priorities
+
+let prop_twin_kernels =
+  QCheck.Test.make
+    ~name:"SEE = reference twin on hierarchy subproblems, failures included"
+    ~count:25
+    QCheck.(int_range 0 100_000)
+    (fun seed -> twin_on_kernels seed)
+
+let prop_twin_synthetic =
+  QCheck.Test.make
+    ~name:"SEE = reference twin on synthetic problems, routed moves included"
+    ~count:60
+    QCheck.(pair (int_range 0 1000) (int_range 6 16))
+    (fun input -> twin_on_synthetic input)
+
+(* The two properties above compare nothing of the Route Allocator or
+   of failures if no search routes or fails: pin both on fixed seeds. *)
+let test_twin_not_vacuous () =
+  let ((searches, routed, failed) as tally) = (ref 0, ref 0, ref 0) in
+  for seed = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "kernel seed %d agrees" seed)
+      true
+      (twin_on_kernels ~tally seed)
+  done;
+  for seed = 0 to 11 do
+    Alcotest.(check bool)
+      (Printf.sprintf "synthetic seed %d agrees" seed)
+      true
+      (twin_on_synthetic ~tally (seed, 16))
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d searches: %d routed, %d failed" !searches !routed !failed)
+    true
+    (!routed > 0 && !failed > 0 && !routed + !failed < !searches)
+
+(* ------------------------------------------------------------------ *)
 (* Parallel drivers reproduce their sequential runs                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -557,6 +727,25 @@ let test_report_jobs_invariant () =
             (fingerprint (Report.run ~jobs fabric ddg)))
         [ 2; 4 ])
     Hca_kernels.Registry.extended
+
+(* [alloc_mb] sums the caller's domain and each pool domain over the
+   attempts it ran, so one run reports about the same figure at any
+   [jobs].  With the memo off the two runs do the same work: with it
+   on, the patience attempts may race on the per-run search table and
+   turn a reuse into a search, which the meter rightly counts. *)
+let test_alloc_jobs_agree () =
+  List.iter
+    (fun name ->
+      let ddg = (Option.get (Hca_kernels.Registry.find name)) () in
+      let mb jobs =
+        (Report.run ~jobs ~memo:false Dspfabric.reference ddg).Report.alloc_mb
+      in
+      let one = mb 1 and two = mb 2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f MB at jobs=1 vs %.1f MB at jobs=2" name one two)
+        true
+        (Float.abs (two -. one) <= 0.1 *. one))
+    [ "h264deblocking"; "idcthor"; "fft_stage"; "sad16" ]
 
 let test_memo_invariant () =
   let fabric = Dspfabric.reference in
@@ -635,6 +824,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_speculative_cost_exact;
           QCheck_alcotest.to_alcotest prop_score_moves_exact;
           QCheck_alcotest.to_alcotest prop_probe_force_exact;
+          QCheck_alcotest.to_alcotest prop_commit_exact;
           Alcotest.test_case "fixed seeds: some probes block" `Quick
             test_probes_block;
         ] );
@@ -644,11 +834,17 @@ let () =
           QCheck_alcotest.to_alcotest prop_outcome_window;
           Alcotest.test_case "fixed seeds: some windows are wide" `Quick
             test_windows_not_vacuous;
+          QCheck_alcotest.to_alcotest prop_twin_kernels;
+          QCheck_alcotest.to_alcotest prop_twin_synthetic;
+          Alcotest.test_case "fixed seeds: the twins route and fail" `Quick
+            test_twin_not_vacuous;
         ] );
       ( "drivers",
         [
           Alcotest.test_case "report jobs invariant" `Quick
             test_report_jobs_invariant;
+          Alcotest.test_case "alloc_mb agrees at jobs 1 and 2" `Quick
+            test_alloc_jobs_agree;
           Alcotest.test_case "memo on/off invariant" `Slow test_memo_invariant;
           Alcotest.test_case "dse climbs: jobs and memo invariant" `Slow
             test_dse_climbs_invariant;

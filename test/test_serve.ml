@@ -955,6 +955,37 @@ let test_loadtest_leaves_tracer_alone () =
       Alcotest.(check bool) "tracer still off" false (Obs.enabled ());
       Alcotest.(check bool) "earlier trace intact" true (Obs.events () = before))
 
+(* [verify] compares a served report with a local unbounded run, which
+   a deadline-cut report ([timed_out]: the best attempt finished before
+   a wall-clock cut-off) need not match.  Such a report is counted as
+   not verifiable, never as a mismatch — even when it differs; the same
+   report not cut short is compared. *)
+let test_loadtest_skips_deadline_cut () =
+  let seed = 3 and max_size = Some 6 in
+  let local =
+    Hca_core.Report.run ~jobs:1 Hca_machine.Dspfabric.reference
+      (Daemon.gen_kernel ~seed ~max_size)
+  in
+  let served report =
+    { Loadtest.seed; kernel = "k"; state = "done"; report; latency_s = 0. }
+  in
+  let verdict = Loadtest.verify_served ~max_size in
+  let show = function
+    | Loadtest.Identical -> "identical"
+    | Differs -> "differs"
+    | Unverifiable -> "unverifiable"
+    | Unreported -> "unreported"
+  in
+  let cut =
+    { local with Hca_core.Report.timed_out = true; placement = local.placement + 1 }
+  in
+  Alcotest.(check string) "deadline-cut" "unverifiable" (show (verdict (served (Some cut))));
+  Alcotest.(check string) "same report, complete" "identical"
+    (show (verdict (served (Some local))));
+  Alcotest.(check string) "other report, complete" "differs"
+    (show (verdict (served (Some { local with placement = local.placement + 1 }))));
+  Alcotest.(check string) "no report" "unreported" (show (verdict (served None)))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1025,5 +1056,7 @@ let () =
         [
           Alcotest.test_case "leaves the tracer alone" `Quick
             test_loadtest_leaves_tracer_alone;
+          Alcotest.test_case "verify skips deadline-cut reports" `Quick
+            test_loadtest_skips_deadline_cut;
         ] );
     ]
